@@ -8,12 +8,11 @@ symplectic bookkeeping.
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .jsonio import load_cache_entry, save_cache_entry
 from .linalg import frobenius_distance, vectorize
 from .report import Check, VerificationReport
 from .testops import (RankOnePovm, TestOperator, invariant_test_double,
@@ -93,11 +92,24 @@ def quantized_key(u: np.ndarray, grid: float = HASH_GRID) -> bytes:
     return re.tobytes() + im.tobytes()
 
 
+def weyl_coefficients(us: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Coefficients Tr(W_l^dag U W_k U^dag) / d, indexed [n, k, l], for a stack of unitaries.
+
+    U W_k for every label k is one product against the Weyl operators w
+    (all_weyl(d)) laid side by side, the right factor U^dag one batched
+    product per unitary, and the overlaps with every W_l a second product.
+    """
+    b, d = us.shape[0], us.shape[1]
+    k = w.shape[0]
+    uw = us.reshape(b * d, d) @ w.transpose(1, 0, 2).reshape(d, k * d)  # [(n, i), (k, m)]
+    conj = uw.reshape(b, d * k, d) @ us.conj().transpose(0, 2, 1)
+    conj = conj.reshape(b, d, k, d).transpose(0, 2, 1, 3)  # [n, k, i, j]
+    return (conj.reshape(b * k, d * d) @ w.reshape(k, d * d).conj().T).reshape(b, k, k) / d
+
+
 def normalizes_weyl_group(u: np.ndarray, d: int, tol: float = NORMALIZER_TOL) -> bool:
     """True if U W U^dag is a phase times a Weyl operator for every Weyl label."""
-    w = all_weyl(d)
-    conj = np.einsum("ij,kjm,lm->kil", u, w, u.conj())
-    coeffs = np.einsum("kij,lij->kl", conj, w.conj()) / d
+    coeffs = weyl_coefficients(np.asarray(u, dtype=complex)[None], all_weyl(d))[0]
     return bool(np.all(np.max(np.abs(coeffs), axis=1) >= 1 - tol))
 
 
@@ -195,13 +207,10 @@ def enumerate_clifford(d: int, size_cap: int = DEFAULT_SIZE_CAP) -> CliffordGrou
 
 
 def _verify_normalizer(group: CliffordGroup, tol: float = NORMALIZER_TOL,
-                       batch: int = 512) -> None:
-    d = group.d
-    w = all_weyl(d)
+                       batch: int = 128) -> None:
+    w = all_weyl(group.d)
     for start in range(0, len(group), batch):
-        block = group.elements[start:start + batch]
-        conj = np.einsum("nij,kjm,nlm->nkil", block, w, block.conj())
-        coeffs = np.einsum("nkij,lij->nkl", conj, w.conj()) / d
+        coeffs = weyl_coefficients(group.elements[start:start + batch], w)
         if not np.all(np.max(np.abs(coeffs), axis=2) >= 1 - tol):
             raise RuntimeError("an enumerated element fails the Weyl normalizer test")
 
@@ -270,34 +279,27 @@ def verify_clifford_identity(d: int, group: CliffordGroup | None = None) -> Veri
 
 def save_group_cache(group: CliffordGroup, path: str) -> None:
     """Write (or update) the JSON group cache, keyed by dimension."""
-    store = {"schema": 1, "entries": {}}
-    if os.path.exists(path):
-        with open(path) as fh:
-            store = json.load(fh)
-    mats = [[[ [z.real, z.imag] for z in row] for row in u] for u in group.elements]
-    store.setdefault("entries", {})[str(group.d)] = {
-        "d": group.d, "count": len(group), "elements": mats}
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(store, fh)
+    mats = [[[[z.real, z.imag] for z in row] for row in u] for u in group.elements]
+    save_cache_entry(path, group.d, {"d": group.d, "count": len(group), "elements": mats})
+
+
+def _group_from_entry(d: int, entry: dict) -> CliffordGroup:
+    n = clifford_cardinality(d)
+    raw = np.asarray(entry["elements"], dtype=float)
+    if entry["count"] != n or raw.shape != (n, d, d, 2):
+        raise ValueError(f"cached group does not hold {n} complex {d}x{d} elements")
+    group = CliffordGroup(d, raw[..., 0] + 1j * raw[..., 1])
+    try:
+        _verify_normalizer(group)
+    except RuntimeError as exc:
+        raise ValueError(str(exc)) from exc
+    return group
 
 
 def load_group_cache(d: int, path: str) -> CliffordGroup | None:
-    """Reload an enumerated group; returns None on miss or failed validation."""
-    if not os.path.exists(path):
-        return None
-    with open(path) as fh:
-        store = json.load(fh)
-    entry = store.get("entries", {}).get(str(d))
-    if entry is None:
-        return None
-    raw = np.asarray(entry["elements"])
-    elements = raw[..., 0] + 1j * raw[..., 1]
-    if entry["count"] != elements.shape[0] or entry["count"] != clifford_cardinality(d):
-        return None
-    group = CliffordGroup(d, elements)
-    try:
-        _verify_normalizer(group)
-    except RuntimeError:
-        return None
-    return group
+    """Reload an enumerated group, re-validated against the Weyl normalizer.
+
+    A missing, unreadable or malformed entry, or one that fails validation,
+    is a miss (None).
+    """
+    return load_cache_entry(path, d, _group_from_entry)

@@ -28,6 +28,50 @@ def cache_dir(override: str | None = None) -> str:
     return os.path.join(os.path.expanduser("~"), ".cache", "entverify")
 
 
+def load_cache_entry(path: str, d: int, parse):
+    """parse(d, entry) for the cache entry of dimension d; None on a miss.
+
+    An unreadable file, or an entry that parse rejects by raising, is a miss
+    as well and is reported by one warning line on stderr.
+    """
+    if not os.path.exists(path):
+        return None
+    try:
+        with open(path) as fh:
+            entry = json.load(fh)["entries"].get(str(d))
+        return None if entry is None else parse(d, entry)
+    except (OSError, ValueError, LookupError, TypeError, AttributeError) as exc:
+        print(f"warning: ignoring cache entry d={d} in {path}: {exc}", file=sys.stderr)
+        return None
+
+
+def save_cache_entry(path: str, d: int, entry: dict) -> None:
+    """Write (or replace) the entry for dimension d, keeping the other entries.
+
+    The file is replaced atomically, so an interrupted write leaves the old
+    cache in place; an unreadable old cache is started afresh.
+    """
+    store = {"schema": 1, "entries": {}}
+    try:
+        with open(path) as fh:
+            old = json.load(fh)
+        if isinstance(old, dict) and isinstance(old.get("entries"), dict):
+            store = old
+    except (OSError, ValueError):
+        pass
+    store["entries"][str(d)] = entry
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(store, fh)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def vector_to_pairs(v: np.ndarray) -> list[list[float]]:
     return [[z.real, z.imag] for z in np.asarray(v, dtype=complex)]
 

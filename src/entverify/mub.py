@@ -15,7 +15,7 @@ from .clifford import is_prime
 from .linalg import frobenius_distance, numerical_rank
 from .report import Check, VerificationReport
 from .testops import (RankOnePovm, invariant_test_single, max_entangled,
-                      realized_test)
+                      paired_vectors, realized_test)
 
 MUB_TOL = 1e-10
 
@@ -105,7 +105,7 @@ def projected_span_ranks(fam: MubFamily) -> list[int]:
     phi = max_entangled(d)
     ranks = []
     for j in range(fam.n_bases):
-        pairs = np.einsum("ia,ib->iab", fam.bases[j], fam.bases[j].conj()).reshape(d, -1)
+        pairs = paired_vectors(fam.bases[j])
         projected = pairs - np.outer(pairs @ phi.conj(), phi)
         gram = projected.conj() @ projected.T
         ranks.append(numerical_rank(gram))
@@ -126,7 +126,7 @@ def verify_mub_identity(d: int) -> VerificationReport:
                               invariant_test_single(d).matrix)
 
     phi = max_entangled(d)
-    pairs = np.einsum("ia,ib->iab", m.vectors, m.vectors.conj()).reshape(m.n_elements, -1)
+    pairs = paired_vectors(m.vectors)
     centered = pairs - np.outer(pairs @ phi.conj(), phi)
     gram = centered.conj() @ centered.T
     basis_of = np.repeat(np.arange(fam.n_bases), d)

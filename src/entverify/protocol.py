@@ -16,7 +16,8 @@ import numpy as np
 
 from .linalg import require_finite, require_hermitian
 from .testops import (RankOnePovm, TestOperator, acceptance_probability,
-                      max_entangled, permute_subsystems, realized_test)
+                      max_entangled, paired_vectors, permute_subsystems,
+                      realized_test)
 
 ZERO_OUTCOME_TOL = 1e-15
 MARGINAL_TOL = 1e-9
@@ -116,13 +117,19 @@ def outcome_distribution(m: RankOnePovm, s: BipartiteState) -> tuple[np.ndarray,
     dim = m.dim
     if s.rho.shape[0] != dim * dim:
         raise ValueError(f"POVM dimension {dim} does not match state on {s.rho.shape[0]}")
-    r = s.rho.reshape(dim, dim, dim, dim)
-    sigma = np.einsum("ia,abcd,ic->ibd", m.vectors.conj(), r, m.vectors)
-    tr = np.einsum("ibb->i", sigma).real
+    # Bob's unnormalized state after outcome i is sigma_i = <u_i|_A rho |u_i>_A.
+    # Its trace is <u_i| Tr_B rho |u_i>, and his acceptance numerator
+    # <conj(u_i)| sigma_i |conj(u_i)> is <pair_i| rho |pair_i>.
+    rho_a = np.einsum("abcb->ac", s.rho.reshape(dim, dim, dim, dim))
+    tr = np.einsum("ia,ia->i", m.vectors.conj() @ rho_a, m.vectors).real
     q = np.clip(m.weights * tr, 0, None)
     if abs(q.sum() - 1) > MARGINAL_TOL:
         raise ValueError(f"outcome probabilities sum to {q.sum()}, POVM/state inconsistent")
-    accept_num = np.einsum("ib,ibd,id->i", m.vectors, sigma, m.vectors.conj()).real
+    pairs = paired_vectors(m.vectors)
+    rho_pairs = pairs @ s.rho.T  # row i is rho |pair_i>
+    # Re <pair_i|rho pair_i> from real views: no conjugated n x dim^2 copy
+    accept_num = (np.einsum("ia,ia->i", pairs.real, rho_pairs.real)
+                  + np.einsum("ia,ia->i", pairs.imag, rho_pairs.imag))
     live = q > ZERO_OUTCOME_TOL
     accept = np.zeros_like(q)
     accept[live] = np.clip(accept_num[live] / tr[live], 0, 1)

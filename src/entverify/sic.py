@@ -7,17 +7,18 @@ dimensions are found by seeded multi-restart descent on the overlap residual.
 
 from __future__ import annotations
 
-import json
-import os
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .clifford import all_weyl
+from .jsonio import (load_cache_entry, pairs_to_vector, save_cache_entry,
+                     vector_to_pairs)
 from .linalg import frobenius_distance, numerical_rank
 from .report import Check, VerificationReport
-from .testops import RankOnePovm, invariant_test_single, realized_test
+from .testops import (RankOnePovm, invariant_test_single, paired_vectors,
+                      realized_test)
 
 ANALYTIC_TOL = 1e-10
 SEARCH_IDENTITY_TOL = 1e-7
@@ -220,7 +221,7 @@ def verify_sic_identity(d: int, f: Fiducial, tol: float | None = None) -> Verifi
         tol = ANALYTIC_TOL if f.residual < 1e-12 else SEARCH_IDENTITY_TOL
     m = weyl_orbit(f)
     cert = sic_check(m, tol)
-    pairs = np.einsum("ia,ib->iab", m.vectors, m.vectors.conj()).reshape(m.n_elements, -1)
+    pairs = paired_vectors(m.vectors)
     gram = pairs.conj() @ pairs.T
     gram_rank = numerical_rank(gram)
     target_rank = numerical_rank(invariant_test_single(d).matrix)
@@ -239,36 +240,28 @@ def verify_sic_identity(d: int, f: Fiducial, tol: float | None = None) -> Verifi
 
 def save_fiducial_cache(f: Fiducial, path: str, seed: int | None = None) -> None:
     """Write (or update) the JSON fiducial cache, keyed by dimension."""
-    store = {"schema": 1, "entries": {}}
-    if os.path.exists(path):
-        with open(path) as fh:
-            store = json.load(fh)
-    store.setdefault("entries", {})[str(f.d)] = {
+    save_cache_entry(path, f.d, {
         "d": f.d,
-        "vector": [[z.real, z.imag] for z in f.vector],
+        "vector": vector_to_pairs(f.vector),
         "residual": f.residual,
         "seed": seed,
         "created": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-    }
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(store, fh)
+    })
+
+
+def _fiducial_from_entry(d: int, entry: dict) -> Fiducial:
+    v = pairs_to_vector(entry["vector"])
+    if v.shape != (d,) or abs(np.linalg.norm(v) - 1) > 1e-10:
+        raise ValueError(f"cached vector is not a unit vector in C^{d}")
+    return Fiducial(d, v, orbit_residual(d, v))
 
 
 def load_fiducial_cache(d: int, path: str) -> Fiducial | None:
-    """Reload a cached fiducial; the residual is recomputed, never trusted."""
-    if not os.path.exists(path):
-        return None
-    with open(path) as fh:
-        store = json.load(fh)
-    entry = store.get("entries", {}).get(str(d))
-    if entry is None:
-        return None
-    raw = np.asarray(entry["vector"])
-    v = raw[:, 0] + 1j * raw[:, 1]
-    if v.shape != (d,) or abs(np.linalg.norm(v) - 1) > 1e-10:
-        return None
-    return Fiducial(d, v, orbit_residual(d, v))
+    """Reload a cached fiducial; the residual is recomputed, never trusted.
+
+    A missing, unreadable or malformed entry is a miss (None).
+    """
+    return load_cache_entry(path, d, _fiducial_from_entry)
 
 
 def get_fiducial(d: int, cfg: FiducialSearchConfig | None = None,

@@ -60,7 +60,7 @@ class RankOnePovm:
 
     def completeness_defect(self) -> float:
         """Max-entry deviation of sum_i p_i |u_i><u_i| from the identity."""
-        s = np.einsum("i,ia,ib->ab", self.weights, self.vectors, self.vectors.conj())
+        s = (self.vectors.T * self.weights) @ self.vectors.conj()
         return float(np.max(np.abs(s - np.eye(self.dim))))
 
 
@@ -139,6 +139,13 @@ def permute_subsystems(a: np.ndarray, dims: list[int], perm: list[int]) -> np.nd
     return t.transpose(axes).reshape(n, n)
 
 
+def paired_vectors(vectors: np.ndarray) -> np.ndarray:
+    """Rows u_i x conj(u_i) (row-major, length dim^2) for the row vectors u_i."""
+    vectors = np.asarray(vectors)
+    n = vectors.shape[0]
+    return (vectors[:, :, None] * vectors.conj()[:, None, :]).reshape(n, -1)
+
+
 def realized_test(m: RankOnePovm, double: bool = False,
                    require_complete: bool = True) -> TestOperator:
     """Realized test operator sum_i p_i |u_i x conj(u_i)><u_i x conj(u_i)|.
@@ -150,8 +157,10 @@ def realized_test(m: RankOnePovm, double: bool = False,
         defect = m.completeness_defect()
         if defect > COMPLETENESS_TOL:
             raise CompletenessError(defect)
-    pairs = np.einsum("ia,ib->iab", m.vectors, m.vectors.conj()).reshape(m.n_elements, -1)
-    t = np.einsum("i,ia,ib->ab", m.weights, pairs, pairs.conj())
+    pairs = paired_vectors(m.vectors)
+    left = pairs.T * m.weights
+    # conjugate in place so the product holds two n x dim^2 arrays, not three
+    t = left @ np.conj(pairs, out=pairs)
     if double:
         d = isqrt(m.dim)
         if d * d != m.dim:

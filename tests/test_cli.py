@@ -176,6 +176,29 @@ def test_unsupported_sic_dim(capsys):
     assert main(["gen", "sic", "--d", "13"]) == 2
 
 
+def test_truncated_group_cache_is_a_miss(tmp_path, capsys):
+    assert main(["verify", "clifford", "--d", "2"]) == 0
+    path = tmp_path / "cache" / "clifford-cache.json"
+    text = path.read_text()
+    path.write_text(text[:len(text) // 2])
+    capsys.readouterr()
+    code = main(["verify", "clifford", "--d", "2"])
+    captured = capsys.readouterr()
+    assert code == 0 and "overall: PASS" in captured.out
+    assert captured.err.count("warning:") == 1
+
+
+def test_malformed_fiducial_cache_is_a_miss(tmp_path, capsys):
+    path = tmp_path / "cache" / "fiducial-cache.json"
+    path.parent.mkdir()
+    path.write_text(json.dumps({"schema": 1, "entries": {
+        "4": {"d": 4, "vector": [1, 2, 3, 4], "residual": 0.0}}}))
+    code = main(["verify", "sic", "--d", "4"])
+    captured = capsys.readouterr()
+    assert code == 0 and "overall: PASS" in captured.out
+    assert captured.err.count("warning:") == 1
+
+
 def test_search_failure_exits_3(capsys):
     code = main(["gen", "sic", "--d", "4", "--restarts", "1",
                  "--search-tol", "1e-30", "--no-cache"])

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,8 @@ from entverify.clifford import (CliffordGroup, all_weyl, canonicalize_phase,
                                 normalizes_weyl_group, pair_product_count,
                                 quantized_key, save_group_cache,
                                 verify_clifford_group,
-                                verify_clifford_identity, weyl, weyl_group)
+                                verify_clifford_identity, weyl,
+                                weyl_coefficients, weyl_group)
 from entverify.linalg import frobenius_distance
 from entverify.testops import invariant_test_double, realized_test
 
@@ -220,6 +223,39 @@ def test_group_cache_roundtrip(tmp_path):
     assert len(loaded) == 24
     assert np.allclose(loaded.elements, group.elements)
     assert load_group_cache(3, path) is None
+
+
+def test_group_cache_rejects_non_clifford_element(tmp_path, capsys):
+    # a T gate keeps the count right, so only the normalizer check can catch it
+    path = tmp_path / "clifford-cache.json"
+    save_group_cache(enumerate_clifford(2), str(path))
+    store = json.loads(path.read_text())
+    t_gate = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [np.cos(np.pi / 4), np.sin(np.pi / 4)]]]
+    store["entries"]["2"]["elements"][5] = t_gate
+    path.write_text(json.dumps(store))
+    assert load_group_cache(2, str(path)) is None
+    assert capsys.readouterr().err.count("warning:") == 1
+
+
+def test_group_cache_truncated_file_is_a_miss(tmp_path, capsys):
+    path = tmp_path / "clifford-cache.json"
+    save_group_cache(enumerate_clifford(2), str(path))
+    text = path.read_text()
+    path.write_text(text[:len(text) // 2])
+    assert load_group_cache(2, str(path)) is None
+    assert capsys.readouterr().err.count("warning:") == 1
+    save_group_cache(enumerate_clifford(2), str(path))  # a corrupt file is replaced
+    assert len(load_group_cache(2, str(path))) == 24
+
+
+@pytest.mark.parametrize("d", (2, 3))
+def test_weyl_coefficients_match_einsum_reference(d):
+    group = enumerate_clifford(d)
+    w = all_weyl(d)
+    block = group.elements[:40]
+    conj = np.einsum("nij,kjm,nlm->nkil", block, w, block.conj())
+    reference = np.einsum("nkij,lij->nkl", conj, w.conj()) / d
+    assert np.max(np.abs(weyl_coefficients(block, w) - reference)) <= 1e-13
 
 
 def test_is_prime():

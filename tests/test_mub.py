@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -112,3 +114,13 @@ def test_scheme_meets_bound_with_equality(d):
     assert all(r == d - 1 for r in ranks)
     # the projected spans tile the orthocomplement of the entangled state
     assert fam.n_bases * (d - 1) == d * d - 1
+
+
+def test_verify_mub_d29_runtime_guard():
+    # about 0.3 s with the matrix-product assembly on 2 CPUs; the three-index
+    # einsum it replaced took about 4 s, so this fails if that path returns
+    start = time.perf_counter()
+    report = verify_mub_identity(29)
+    elapsed = time.perf_counter() - start
+    assert report.overall
+    assert elapsed < 2.0, f"verify_mub_identity(29) took {elapsed:.2f} s"

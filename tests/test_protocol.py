@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import random_unitary
 
 from entverify.clifford import clifford_povm, enumerate_clifford, weyl_group
 from entverify.mub import mub_povm, mub_prime
@@ -180,3 +181,40 @@ def test_state_validation():
     bad = np.diag([1.5, -0.5, 0, 0]).astype(complex)
     with pytest.raises(ValueError):
         BipartiteState(2, bad)
+
+
+def reference_outcome_distribution(m, s):
+    """The n x d x d conditional-state einsum path the GEMM path replaced."""
+    dim = m.dim
+    r = s.rho.reshape(dim, dim, dim, dim)
+    sigma = np.einsum("ia,abcd,ic->ibd", m.vectors.conj(), r, m.vectors)
+    tr = np.einsum("ibb->i", sigma).real
+    q = np.clip(m.weights * tr, 0, None)
+    accept_num = np.einsum("ib,ibd,id->i", m.vectors, sigma, m.vectors.conj()).real
+    live = q > 1e-15
+    accept = np.zeros_like(q)
+    accept[live] = np.clip(accept_num[live] / tr[live], 0, 1)
+    return q, accept
+
+
+def random_full_rank_state(rng, d, party):
+    # a random spectrum in a random basis: full rank and far from isotropic
+    n = d ** (2 if party == "single" else 4)
+    u = random_unitary(rng, n)
+    p = rng.uniform(0.1, 1.0, n)
+    return BipartiteState(d, (u * (p / p.sum())) @ u.conj().T, party)
+
+
+@pytest.mark.parametrize("party", ("single", "double"))
+def test_outcome_distribution_matches_einsum_reference(rng, party):
+    if party == "single":
+        m, d = mub_povm(mub_prime(3)), 3
+    else:
+        m, d = clifford_povm(enumerate_clifford(2)), 2
+    s = random_full_rank_state(rng, d, party)
+    q, accept = outcome_distribution(m, s)
+    q_ref, accept_ref = reference_outcome_distribution(m, s)
+    assert np.max(np.abs(q - q_ref)) <= 1e-13
+    assert np.max(np.abs(accept - accept_ref)) <= 1e-13
+    # the state is not isotropic, so the outcomes are not all equally likely
+    assert np.ptp(q) > 1e-3

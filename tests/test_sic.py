@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -130,6 +132,14 @@ def test_fiducial_cache_roundtrip(tmp_path):
     assert np.array_equal(loaded.vector, f.vector)
     assert loaded.residual == pytest.approx(f.residual, abs=1e-15)
     assert load_fiducial_cache(5, path) is None
+
+
+def test_fiducial_cache_malformed_vector_is_a_miss(tmp_path, capsys):
+    path = tmp_path / "fiducial-cache.json"
+    path.write_text(json.dumps({"schema": 1, "entries": {
+        "4": {"d": 4, "vector": [1, 2, 3, 4], "residual": 0.0}}}))
+    assert load_fiducial_cache(4, str(path)) is None
+    assert capsys.readouterr().err.count("warning:") == 1
 
 
 def test_get_fiducial_uses_cache(tmp_path):

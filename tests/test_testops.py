@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from conftest import random_ket
 
+from entverify.clifford import clifford_povm, enumerate_clifford
 from entverify.linalg import (eigen_hermitian, frobenius_distance,
                               numerical_rank)
 from entverify.mub import mub_povm, mub_prime
@@ -9,7 +10,8 @@ from entverify.sic import known_fiducial, weyl_orbit
 from entverify.testops import (CompletenessError, RankOnePovm,
                                acceptance_probability, invariant_test_double,
                                invariant_test_single, max_entangled,
-                               permute_subsystems, realized_test)
+                               paired_vectors, permute_subsystems,
+                               realized_test)
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -184,3 +186,39 @@ def test_acceptance_rejects_non_density(rng):
     v = random_ket(rng, 4)
     with pytest.raises(ValueError):
         acceptance_probability(t, 2 * np.outer(v, v.conj()) - np.eye(4) / 4)
+
+
+def reference_realized_test(m):
+    """The three-index einsum formula the GEMM path replaced."""
+    pairs = np.einsum("ia,ib->iab", m.vectors, m.vectors.conj()).reshape(m.n_elements, -1)
+    return np.einsum("i,ia,ib->ab", m.weights, pairs, pairs.conj())
+
+
+def reference_completeness_defect(m):
+    s = np.einsum("i,ia,ib->ab", m.weights, m.vectors, m.vectors.conj())
+    return float(np.max(np.abs(s - np.eye(m.dim))))
+
+
+def _incomplete_povm():
+    vecs = np.array([[1, 0, 0], [0, 1, 1j] / np.sqrt(2), [1, 1, 1] / np.sqrt(3)], dtype=complex)
+    return RankOnePovm(3, np.array([0.5, 0.3, 0.9]), vecs, check_completeness=False)
+
+
+@pytest.mark.parametrize("case", ("sic3", "mub5", "clifford2", "incomplete"))
+def test_realized_test_matches_einsum_reference(case):
+    m, double, complete = {
+        "sic3": lambda: (weyl_orbit(known_fiducial(3)), False, True),
+        "mub5": lambda: (mub_povm(mub_prime(5)), False, True),
+        "clifford2": lambda: (clifford_povm(enumerate_clifford(2)), True, True),
+        "incomplete": lambda: (_incomplete_povm(), False, False),
+    }[case]()
+    got = realized_test(m, double=double, require_complete=complete).matrix
+    assert np.max(np.abs(got - reference_realized_test(m))) <= 1e-13
+    assert abs(m.completeness_defect() - reference_completeness_defect(m)) <= 1e-13
+
+
+def test_paired_vectors_rows_are_kron_with_conjugate(rng):
+    vecs = np.stack([random_ket(rng, 3) for _ in range(4)])
+    pairs = paired_vectors(vecs)
+    for v, p in zip(vecs, pairs):
+        assert np.array_equal(p, np.kron(v, v.conj()))
