@@ -2,7 +2,7 @@
 
 Constructs the SIC, MUB, and Clifford-orbit measurement schemes, certifies
 the operator identities and optimality bounds they satisfy, and simulates the
-two-party protocol shot by shot.
+two-party protocol by sampling its outcome and accept counts.
 """
 
 __version__ = "0.1.0"

@@ -1,7 +1,7 @@
 """Command-line surface: generate schemes, verify identities, simulate, count.
 
 Exit codes: 0 success, 1 verification or consistency failure, 2 usage error,
-3 fiducial search failure.
+3 fiducial search failure, 4 I/O error (a file that cannot be written or read).
 """
 
 from __future__ import annotations
@@ -116,8 +116,8 @@ def cmd_simulate(args) -> int:
     d = args.d
     if not 0 <= args.fidelity <= 1:
         raise UsageError(f"fidelity must lie in [0, 1], got {args.fidelity}")
-    if args.shots < 1:
-        raise UsageError("shots must be at least 1")
+    if not 1 <= args.shots <= protocol.MAX_SHOTS:
+        raise UsageError(f"shots must lie in [1, {protocol.MAX_SHOTS}], got {args.shots}")
     if args.scheme == "sic":
         povm = sic.weyl_orbit(_fiducial(d, args))
         state = protocol.isotropic_state(d, args.fidelity)
@@ -195,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--tol", type=float, default=None, help="override check tolerance")
     p_verify.set_defaults(func=cmd_verify)
 
-    p_sim = sub.add_parser("simulate", help="shot-by-shot protocol simulation")
+    p_sim = sub.add_parser("simulate", help="protocol simulation (samples outcome counts)")
     p_sim.add_argument("--scheme", choices=["sic", "mub", "clifford"], required=True)
     p_sim.add_argument("--d", type=int, required=True)
     p_sim.add_argument("--fidelity", type=float, required=True)
@@ -237,6 +237,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -1,11 +1,15 @@
-"""Shot-by-shot simulation of the one-way LOCC test.
+"""Simulation of the one-way LOCC test by sampling outcome counts.
 
-Alice samples an outcome of her rank-one POVM, transmits it, and Bob applies
-the two-valued check onto the conjugate vector. Only the two Bernoulli draws
-are sampled; Bob's conditional state is computed exactly from the density
-operator. Randomness comes from numpy's Philox generator (a published
-counter-based 64-bit generator), so transcripts are reproducible bit-for-bit
-from the seed.
+Alice measures her rank-one POVM, transmits the outcome, and Bob applies the
+two-valued check onto the conjugate vector. A run of many shots is fully
+described by Alice's outcome histogram and Bob's accept count, so these are
+sampled directly: the histogram is multinomial in Alice's outcome
+probabilities, and given it, the accepts of each outcome are binomial in
+Bob's conditional acceptance. This is the same distribution as sampling the
+shots one by one, at a cost independent of the shot count. Bob's conditional
+state is computed exactly from the density operator. Randomness comes from
+numpy's Philox generator (a published counter-based 64-bit generator), so
+transcripts are reproducible bit-for-bit from the seed.
 """
 
 from __future__ import annotations
@@ -16,11 +20,11 @@ import numpy as np
 
 from .linalg import require_finite, require_hermitian
 from .testops import (RankOnePovm, TestOperator, acceptance_probability,
-                      max_entangled, paired_vectors, permute_subsystems,
-                      realized_test)
+                      max_entangled, paired_vectors, permute_subsystems)
 
 ZERO_OUTCOME_TOL = 1e-15
 MARGINAL_TOL = 1e-9
+MAX_SHOTS = 2 ** 63 - 1   # counts are sampled as int64
 
 
 @dataclass(eq=False)
@@ -137,20 +141,26 @@ def outcome_distribution(m: RankOnePovm, s: BipartiteState) -> tuple[np.ndarray,
 
 
 def run_protocol(m: RankOnePovm, s: BipartiteState, shots: int, seed: int) -> ProtocolTranscript:
-    """Simulate the two-step protocol for a number of shots, deterministically in seed."""
+    """Simulate the two-step protocol for a number of shots, deterministically in seed.
+
+    Draws the outcome histogram counts ~ Multinomial(shots, q) and the accept
+    count as the sum over outcomes of Binomial(counts_i, accept_i), both from
+    one Philox stream: time and memory grow with the number of outcomes, not
+    with shots.
+    """
     if shots < 1:
         raise ValueError("shots must be at least 1")
+    if shots > MAX_SHOTS:
+        raise ValueError(f"shots must be at most {MAX_SHOTS}")
     q, accept = outcome_distribution(m, s)
-    analytic = acceptance_probability(
-        realized_test(m, double=(s.party_structure == "double")), s.rho)
+    analytic = float(q @ accept)   # = Tr(T rho) for the test T the POVM realizes
     rng = np.random.Generator(np.random.Philox(seed))
-    u_alice = rng.random(shots)
-    u_bob = rng.random(shots)
-    cum = np.cumsum(q / q.sum())
-    outcomes = np.minimum(np.searchsorted(cum, u_alice, side="right"), m.n_elements - 1)
-    accepts = u_bob < accept[outcomes]
-    counts = np.bincount(outcomes, minlength=m.n_elements)
-    n_accept = int(accepts.sum())
+    # only outcomes of positive probability enter the multinomial, so rounding
+    # in its running remainder can never put a count on an impossible outcome
+    support = q > 0
+    counts = np.zeros(m.n_elements, dtype=np.int64)
+    counts[support] = rng.multinomial(shots, q[support] / q[support].sum())
+    n_accept = int(rng.binomial(counts, accept).sum())
     return ProtocolTranscript(shots, seed, counts, n_accept, n_accept / shots, analytic)
 
 

@@ -204,3 +204,20 @@ def test_search_failure_exits_3(capsys):
                  "--search-tol", "1e-30", "--no-cache"])
     assert code == 3
     assert "search failed" in capsys.readouterr().err
+
+
+def test_simulate_shots_above_int64_is_usage_error(capsys):
+    code = main(["simulate", "--scheme", "mub", "--d", "2", "--fidelity", "0.9",
+                 "--shots", str(2 ** 63), "--json"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_unwritable_out_path_is_io_error(tmp_path, capsys):
+    afile = tmp_path / "afile"
+    afile.write_text("not a directory")
+    code = main(["gen", "mub", "--d", "2", "--out", str(afile / "sub" / "x.json")])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err.startswith("error:") and err.count("\n") == 1

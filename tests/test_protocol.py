@@ -1,17 +1,19 @@
+import time
+
 import numpy as np
 import pytest
 from conftest import random_unitary
 
 from entverify.clifford import clifford_povm, enumerate_clifford, weyl_group
 from entverify.mub import mub_povm, mub_prime
-from entverify.protocol import (BipartiteState, analytic_acceptance,
-                                double_isotropic_state, isotropic_state,
-                                outcome_distribution, run_protocol,
-                                sweep_fidelity)
+from entverify.protocol import (MAX_SHOTS, BipartiteState,
+                                analytic_acceptance, double_isotropic_state,
+                                isotropic_state, outcome_distribution,
+                                run_protocol, sweep_fidelity)
 from entverify.sic import known_fiducial, weyl_orbit
-from entverify.testops import (RankOnePovm, invariant_test_double,
-                               invariant_test_single, max_entangled,
-                               realized_test)
+from entverify.testops import (RankOnePovm, acceptance_probability,
+                               invariant_test_double, invariant_test_single,
+                               max_entangled, realized_test)
 
 
 def test_isotropic_pure_limit():
@@ -157,6 +159,9 @@ def test_zero_probability_outcome_is_rejected_branch():
     t = run_protocol(m, s, 20000, 4)
     assert t.alice_outcome_counts[2] == 0
     assert np.isfinite(t.estimate)
+    # the impossible outcome is last, where the multinomial puts its remainder
+    for seed in range(20):
+        assert run_protocol(m, s, 10 ** 15, seed).alice_outcome_counts[2] == 0
 
 
 def test_run_protocol_rejects_dim_mismatch():
@@ -218,3 +223,71 @@ def test_outcome_distribution_matches_einsum_reference(rng, party):
     assert np.max(np.abs(accept - accept_ref)) <= 1e-13
     # the state is not isotropic, so the outcomes are not all equally likely
     assert np.ptp(q) > 1e-3
+
+
+def reference_per_shot_sample(q, accept, shots, seed):
+    """The per-shot sampler the count sampler replaced: two uniforms per shot."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    u_alice = rng.random(shots)
+    u_bob = rng.random(shots)
+    cum = np.cumsum(q / q.sum())
+    outcomes = np.minimum(np.searchsorted(cum, u_alice, side="right"), len(q) - 1)
+    accepts = u_bob < accept[outcomes]
+    return np.bincount(outcomes, minlength=len(q)), int(accepts.sum())
+
+
+def _povm_and_state(rng, party):
+    if party == "single":
+        return mub_povm(mub_prime(3)), random_full_rank_state(rng, 3, party)
+    return clifford_povm(enumerate_clifford(2)), random_full_rank_state(rng, 2, party)
+
+
+@pytest.mark.parametrize("party", ("single", "double"))
+def test_count_and_per_shot_samplers_within_5_sigma(rng, party):
+    m, s = _povm_and_state(rng, party)
+    q, accept = outcome_distribution(m, s)
+    shots = 200_000
+    p = float(q @ accept)
+    t = run_protocol(m, s, shots, 3)
+    samples = {"count": (t.alice_outcome_counts, t.accept_count),
+               "per_shot": reference_per_shot_sample(q, accept, shots, 3)}
+    for counts, n_accept in samples.values():
+        assert int(counts.sum()) == shots
+        assert np.all(np.abs(counts - shots * q) <= 5 * np.sqrt(shots * q * (1 - q)))
+        assert abs(n_accept - shots * p) <= 5 * np.sqrt(shots * p * (1 - p))
+
+
+@pytest.mark.parametrize("party", ("single", "double"))
+def test_analytic_is_trace_of_realized_test(rng, party):
+    m, s = _povm_and_state(rng, party)
+    t = run_protocol(m, s, 1000, 0)
+    expected = acceptance_probability(realized_test(m, double=(party == "double")), s.rho)
+    assert abs(t.analytic - expected) <= 1e-12
+
+
+def test_single_shot():
+    m = mub_povm(mub_prime(2))
+    t = run_protocol(m, isotropic_state(2, 0.8), 1, 0)
+    assert int(t.alice_outcome_counts.sum()) == 1
+    assert t.accept_count in (0, 1)
+    assert t.estimate == t.accept_count
+
+
+def test_shots_bounded_at_int64_limit():
+    m = mub_povm(mub_prime(2))
+    s = isotropic_state(2, 0.8)
+    t = run_protocol(m, s, MAX_SHOTS, 0)
+    assert int(t.alice_outcome_counts.sum()) == MAX_SHOTS == 2 ** 63 - 1
+    with pytest.raises(ValueError, match="at most"):
+        run_protocol(m, s, 2 ** 63, 0)
+
+
+def test_cost_does_not_grow_with_shots():
+    # a per-shot sampler would need days and terabytes for this
+    m = mub_povm(mub_prime(5))
+    s = isotropic_state(5, 0.8)
+    start = time.perf_counter()
+    t = run_protocol(m, s, 10 ** 12, 8)
+    assert time.perf_counter() - start < 1.0
+    assert int(t.alice_outcome_counts.sum()) == 10 ** 12
+    assert abs(t.estimate - t.analytic) <= 5 * t.stderr
