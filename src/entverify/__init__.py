@@ -11,8 +11,8 @@ from .clifford import (CliffordGroup, character_moments, clifford_cardinality,
                        clifford_generators, clifford_povm, enumerate_clifford,
                        pair_product_count, verify_clifford_group,
                        verify_clifford_identity, weyl, weyl_group)
-from .linalg import (conjugate, eigen_hermitian, frobenius_distance,
-                     numerical_rank, tensor_product, vectorize)
+from .linalg import (eigen_hermitian, frobenius_distance, numerical_rank,
+                     vectorize)
 from .mub import (MubFamily, mub_check, mub_povm, mub_prime, pvm_count_bound,
                   verify_mub_identity)
 from .protocol import (BipartiteState, FidelityPoint, ProtocolTranscript,
@@ -20,8 +20,8 @@ from .protocol import (BipartiteState, FidelityPoint, ProtocolTranscript,
                        isotropic_state, run_protocol, sweep_fidelity)
 from .report import Check, VerificationReport
 from .sic import (Fiducial, FiducialSearchConfig, FiducialSearchError,
-                  SicCertificate, get_fiducial, known_fiducial, search_fiducial,
-                  sic_check, verify_sic_identity, weyl_orbit)
+                  get_fiducial, known_fiducial, search_fiducial, sic_check,
+                  verify_sic_identity, weyl_orbit)
 from .testops import (CompletenessError, RankOnePovm, TestOperator,
                       acceptance_probability, invariant_test_double,
                       invariant_test_single, max_entangled,
@@ -30,17 +30,16 @@ from .testops import (CompletenessError, RankOnePovm, TestOperator,
 __all__ = [
     "BipartiteState", "Check", "CliffordGroup", "CompletenessError",
     "Fiducial", "FiducialSearchConfig", "FiducialSearchError", "FidelityPoint",
-    "MubFamily", "ProtocolTranscript", "RankOnePovm", "SicCertificate",
-    "TestOperator", "VerificationReport", "acceptance_probability",
-    "analytic_acceptance", "character_moments", "clifford_cardinality",
-    "clifford_generators", "clifford_povm", "conjugate",
-    "double_isotropic_state", "eigen_hermitian", "enumerate_clifford",
-    "frobenius_distance", "get_fiducial", "invariant_test_double",
-    "invariant_test_single", "isotropic_state", "known_fiducial",
-    "max_entangled", "mub_check", "mub_povm", "mub_prime", "numerical_rank",
-    "pair_product_count", "permute_subsystems", "pvm_count_bound",
-    "realized_test", "run_protocol", "search_fiducial", "sic_check",
-    "sweep_fidelity", "tensor_product", "vectorize", "verify_clifford_group",
+    "MubFamily", "ProtocolTranscript", "RankOnePovm", "TestOperator",
+    "VerificationReport", "acceptance_probability", "analytic_acceptance",
+    "character_moments", "clifford_cardinality", "clifford_generators",
+    "clifford_povm", "double_isotropic_state", "eigen_hermitian",
+    "enumerate_clifford", "frobenius_distance", "get_fiducial",
+    "invariant_test_double", "invariant_test_single", "isotropic_state",
+    "known_fiducial", "max_entangled", "mub_check", "mub_povm", "mub_prime",
+    "numerical_rank", "pair_product_count", "permute_subsystems",
+    "pvm_count_bound", "realized_test", "run_protocol", "search_fiducial",
+    "sic_check", "sweep_fidelity", "vectorize", "verify_clifford_group",
     "verify_clifford_identity", "verify_mub_identity", "verify_sic_identity",
     "weyl", "weyl_group", "weyl_orbit",
 ]

@@ -2,6 +2,8 @@
 
 Exit codes: 0 success, 1 verification or consistency failure, 2 usage error,
 3 fiducial search failure, 4 I/O error (a file that cannot be written or read).
+
+`count` takes 2 <= d <= COUNT_MAX_D (4096); its pair counts cost O(d^2).
 """
 
 from __future__ import annotations
@@ -12,13 +14,13 @@ import sys
 import time
 
 from . import __version__, clifford, mub, protocol, sic
-from .jsonio import (FIDUCIAL_CACHE, GROUP_CACHE, cache_dir, dump_json,
-                     povm_to_dict)
+from .jsonio import FIDUCIAL_CACHE, cache_dir, dump_json, povm_to_dict
 from .report import Check, VerificationReport
 
 SIC_SEARCH_MAX_D = 12
 MUB_MAX_D = 64
 CLIFFORD_GEN_DS = (2, 3, 5)
+COUNT_MAX_D = 4096
 
 
 class UsageError(ValueError):
@@ -28,23 +30,18 @@ class UsageError(ValueError):
 def _fiducial(d: int, args) -> sic.Fiducial:
     if not 2 <= d <= SIC_SEARCH_MAX_D:
         raise UsageError(f"sic supports 2 <= d <= {SIC_SEARCH_MAX_D}, got {d}")
-    cfg = sic.FiducialSearchConfig(seed=args.seed, restarts=args.restarts,
-                                   tol=args.search_tol)
+    try:
+        cfg = sic.FiducialSearchConfig(seed=args.seed, restarts=args.restarts,
+                                       tol=args.search_tol)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     cache = None if args.no_cache else os.path.join(cache_dir(), FIDUCIAL_CACHE)
     return sic.get_fiducial(d, cfg, cache_path=cache)
 
 
-def _group(d: int, args) -> clifford.CliffordGroup:
+def _group(d: int) -> clifford.CliffordGroup:
     if d not in CLIFFORD_GEN_DS:
         raise UsageError(f"clifford supports d in {CLIFFORD_GEN_DS}, got {d}")
-    if not args.no_cache:
-        path = os.path.join(cache_dir(), GROUP_CACHE)
-        cached = clifford.load_group_cache(d, path)
-        if cached is not None:
-            return cached
-        group = clifford.enumerate_clifford(d)
-        clifford.save_group_cache(group, path)
-        return group
     return clifford.enumerate_clifford(d)
 
 
@@ -79,7 +76,7 @@ def cmd_gen(args) -> int:
         povm = mub.mub_povm(_mub_family(d))
         doc = povm_to_dict(povm, "mub", d)
     else:
-        povm = clifford.clifford_povm(_group(d, args))
+        povm = clifford.clifford_povm(_group(d))
         doc = povm_to_dict(povm, "clifford", d)
     dump_json(doc, args.out)
     return 0
@@ -99,9 +96,9 @@ def cmd_verify(args) -> int:
                              if c.tolerance > 0 else c for c in report.checks]
     else:
         if d in (2, 3):
-            report = clifford.verify_clifford_identity(d, _group(d, args))
+            report = clifford.verify_clifford_identity(d, _group(d))
         elif d == 5:
-            report, _ = clifford.verify_clifford_group(d, _group(d, args))
+            report, _ = clifford.verify_clifford_group(d, _group(d))
         else:
             raise UsageError(f"clifford verification supports d in (2, 3, 5), got {d}")
     report.metadata.update(_metadata(args))
@@ -118,6 +115,8 @@ def cmd_simulate(args) -> int:
         raise UsageError(f"fidelity must lie in [0, 1], got {args.fidelity}")
     if not 1 <= args.shots <= protocol.MAX_SHOTS:
         raise UsageError(f"shots must lie in [1, {protocol.MAX_SHOTS}], got {args.shots}")
+    if args.seed < 0:
+        raise UsageError(f"seed must be non-negative, got {args.seed}")
     if args.scheme == "sic":
         povm = sic.weyl_orbit(_fiducial(d, args))
         state = protocol.isotropic_state(d, args.fidelity)
@@ -127,7 +126,7 @@ def cmd_simulate(args) -> int:
     else:
         if d not in (2, 3):
             raise UsageError(f"clifford simulation supports d in (2, 3), got {d}")
-        povm = clifford.clifford_povm(_group(d, args))
+        povm = clifford.clifford_povm(_group(d))
         state = protocol.double_isotropic_state(d, args.fidelity)
     transcript = protocol.run_protocol(povm, state, args.shots, args.seed)
     doc = {"schema": 1, "scheme": args.scheme, "d": d, "fidelity": args.fidelity}
@@ -145,20 +144,20 @@ def cmd_simulate(args) -> int:
 
 def cmd_count(args) -> int:
     d = args.d
-    if d < 2:
-        raise UsageError("d must be at least 2")
-    nu_values = [clifford.pair_product_count(n, d) for n in range(d)]
+    if not 2 <= d <= COUNT_MAX_D:
+        raise UsageError(f"count supports 2 <= d <= {COUNT_MAX_D}, got {d}")
+    nu = clifford.pair_product_counts(d)
     doc = {
         "schema": 1,
         "d": d,
-        "nu_values": nu_values,
-        "formula_value": clifford.clifford_cardinality(d),
+        "nu_values": nu.tolist(),
+        "formula_value": clifford.cardinality_from_pair_counts(nu),
         "prime_formula_value": d ** 3 * (d * d - 1) if clifford.is_prime(d) else None,
         "enumerated": None,
     }
     if args.enumerate or d in (2, 3):
         if d in CLIFFORD_GEN_DS:
-            doc["enumerated"] = len(_group(d, args))
+            doc["enumerated"] = len(_group(d))
     if args.json or args.out:
         dump_json(doc, args.out)
     else:
@@ -184,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--restarts", type=int, default=50, help="fiducial search restarts")
         p.add_argument("--search-tol", type=float, default=1e-8,
                        help="fiducial search residual target")
-        p.add_argument("--no-cache", action="store_true", help="skip cache files")
+        p.add_argument("--no-cache", action="store_true", help="skip the fiducial cache")
 
     p_gen = sub.add_parser("gen", help="generate a scheme POVM as JSON")
     common(p_gen)
@@ -197,15 +196,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="protocol simulation (samples outcome counts)")
     p_sim.add_argument("--scheme", choices=["sic", "mub", "clifford"], required=True)
-    p_sim.add_argument("--d", type=int, required=True)
+    common(p_sim, scheme_positional=False)
     p_sim.add_argument("--fidelity", type=float, required=True)
     p_sim.add_argument("--shots", type=int, default=100000)
-    p_sim.add_argument("--json", action="store_true")
-    p_sim.add_argument("--out", help="write JSON to this file")
-    p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--restarts", type=int, default=50)
-    p_sim.add_argument("--search-tol", type=float, default=1e-8)
-    p_sim.add_argument("--no-cache", action="store_true")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_count = sub.add_parser("count", help="Clifford group cardinality data")
@@ -214,8 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="cross-check by enumeration where supported")
     p_count.add_argument("--json", action="store_true")
     p_count.add_argument("--out", help="write JSON to this file")
-    p_count.add_argument("--seed", type=int, default=0)
-    p_count.add_argument("--no-cache", action="store_true")
     p_count.set_defaults(func=cmd_count)
     return parser
 
@@ -234,9 +225,6 @@ def main(argv: list[str] | None = None) -> int:
     except sic.FiducialSearchError as exc:
         print(f"search failed: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .jsonio import load_cache_entry, save_cache_entry
 from .linalg import frobenius_distance, vectorize
 from .report import Check, VerificationReport
 from .testops import (RankOnePovm, TestOperator, invariant_test_double,
@@ -39,28 +38,43 @@ def all_weyl(d: int) -> np.ndarray:
     return np.stack([weyl(d, i, j) for i in range(d) for j in range(d)])
 
 
+def pair_product_counts(d: int) -> np.ndarray:
+    """nu(n, d) for n = 0..d-1: the ordered pairs (x, y) in Z_d^2 with x*y = n (mod d).
+
+    One bincount of the products x * (0..d-1) mod d per row x: O(d^2) time, O(d) memory.
+    """
+    k = np.arange(d, dtype=np.int64)
+    counts = np.zeros(d, dtype=np.int64)
+    for x in range(d):
+        counts += np.bincount(x * k % d, minlength=d)
+    return counts
+
+
 def pair_product_count(n: int, d: int) -> int:
-    """Number of ordered pairs (x, y) in Z_d^2 with x*y = n (mod d), by enumeration."""
-    if not 0 <= n % d < d:
-        raise ValueError("index out of range")
-    n = n % d
-    return sum(1 for x in range(d) for y in range(d) if (x * y) % d == n)
+    """Number of ordered pairs (x, y) in Z_d^2 with x*y = n (mod d)."""
+    return int(pair_product_counts(d)[n % d])
 
 
-def clifford_cardinality(d: int) -> int:
-    """Order of the phase-quotiented Clifford group via the pair-count sum.
+def cardinality_from_pair_counts(counts: np.ndarray) -> int:
+    """Order of the phase-quotiented Clifford group from the pair counts nu(., d).
 
     For prime d the result is cross-checked against d^3 (d^2 - 1).
     """
-    if d < 2:
-        raise ValueError("dimension must be at least 2")
-    counts = [pair_product_count(n, d) for n in range(d)]
-    total = d * d * sum(counts[n] * counts[(n + 1) % d] for n in range(d))
+    d = len(counts)
+    # each term is at most (sum nu)^2 = d^4, so the int64 dot cannot overflow
+    total = d * d * int(counts @ np.roll(counts, -1))
     if is_prime(d):
         closed = d ** 3 * (d * d - 1)
         if total != closed:
             raise AssertionError(f"pair-count sum {total} != prime closed form {closed} at d={d}")
     return total
+
+
+def clifford_cardinality(d: int) -> int:
+    """Order of the phase-quotiented Clifford group via the pair-count sum."""
+    if d < 2:
+        raise ValueError("dimension must be at least 2")
+    return cardinality_from_pair_counts(pair_product_counts(d))
 
 
 def is_prime(d: int) -> bool:
@@ -70,26 +84,37 @@ def is_prime(d: int) -> bool:
 
 
 def canonicalize_phase(u: np.ndarray, tie_tol: float = PIVOT_TIE_TOL) -> np.ndarray:
-    """Fix the global phase: the first entry of largest magnitude becomes real positive.
+    """Fix the global phase of a matrix, or of each matrix in a stack [..., d, d].
 
-    Idempotent: applying twice returns the same matrix.
+    The first entry of largest magnitude (within tie_tol) becomes real positive.
+    Idempotent: applying twice returns the same matrices.
     """
     u = np.asarray(u, dtype=complex)
-    mags = np.abs(u).reshape(-1)
-    pivot = int(np.flatnonzero(mags >= mags.max() - tie_tol)[0])
-    z = u.reshape(-1)[pivot]
-    if z.imag == 0 and z.real > 0:
+    flat = u.reshape(-1, u.shape[-2] * u.shape[-1])
+    mags = np.abs(flat)
+    pivot = np.argmax(mags >= mags.max(axis=1, keepdims=True) - tie_tol, axis=1)
+    z = flat[np.arange(len(flat)), pivot]
+    rows = np.flatnonzero((z.imag != 0) | (z.real <= 0))
+    if not len(rows):
         return u
-    out = u * (z.conjugate() / abs(z))
-    out.reshape(-1)[pivot] = abs(z)  # kill the fp phase residue at the pivot
-    return out
+    z, cols = z[rows], pivot[rows]
+    r = np.abs(z)
+    out = flat.copy()
+    out[rows] *= (z.conj() / r)[:, None]
+    out[rows, cols] = r  # kill the fp phase residue at the pivot
+    return out.reshape(u.shape)
 
 
-def quantized_key(u: np.ndarray, grid: float = HASH_GRID) -> bytes:
-    """Hash key from entries quantized to a fixed grid (stable across tiny fp noise)."""
-    re = np.rint(u.real / grid).astype(np.int64)
-    im = np.rint(u.imag / grid).astype(np.int64)
-    return re.tobytes() + im.tobytes()
+def quantized_key(u: np.ndarray, grid: float = HASH_GRID) -> bytes | list[bytes]:
+    """Hash key from entries quantized to a fixed grid (stable across tiny fp noise).
+
+    One key for a matrix [d, d], a list of keys for a stack [..., d, d] in row-major order.
+    """
+    u = np.asarray(u)
+    flat = u.reshape(-1, u.shape[-2] * u.shape[-1])
+    grid_points = np.rint(np.concatenate([flat.real, flat.imag], axis=1) / grid)
+    keys = [row.tobytes() for row in grid_points.astype(np.int64)]
+    return keys[0] if u.ndim == 2 else keys
 
 
 def weyl_coefficients(us: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -150,7 +175,7 @@ class CliffordGroup:
     def __post_init__(self):
         self.elements = np.asarray(self.elements, dtype=complex)
         if not self.index:
-            self.index = {quantized_key(u): i for i, u in enumerate(self.elements)}
+            self.index = {key: i for i, key in enumerate(quantized_key(self.elements))}
 
     def __len__(self) -> int:
         return self.elements.shape[0]
@@ -163,8 +188,7 @@ class CliffordGroup:
 
 def weyl_group(d: int) -> CliffordGroup:
     """The d^2 canonicalized Weyl operators as a group (negative-control subgroup)."""
-    elements = np.stack([canonicalize_phase(w) for w in all_weyl(d)])
-    return CliffordGroup(d, elements)
+    return CliffordGroup(d, canonicalize_phase(all_weyl(d)))
 
 
 def enumerate_clifford(d: int, size_cap: int = DEFAULT_SIZE_CAP) -> CliffordGroup:
@@ -179,29 +203,27 @@ def enumerate_clifford(d: int, size_cap: int = DEFAULT_SIZE_CAP) -> CliffordGrou
     expected = clifford_cardinality(d)
     if expected > size_cap:
         raise ValueError(f"expected group size {expected} exceeds cap {size_cap}")
-    gens = clifford_generators(d)
+    gens = np.stack(clifford_generators(d))
     identity = canonicalize_phase(np.eye(d, dtype=complex))
-    elements = [identity]
     index = {quantized_key(identity): 0}
-    frontier = [identity]
-    while frontier:
+    blocks = [identity[None]]
+    while len(blocks[-1]):
+        # every frontier x generator product at once, in frontier-major order
+        products = canonicalize_phase(blocks[-1][:, None] @ gens[None]).reshape(-1, d, d)
         fresh = []
-        for u in frontier:
-            for g in gens:
-                v = canonicalize_phase(u @ g)
-                key = quantized_key(v)
-                if key not in index:
-                    index[key] = len(elements)
-                    elements.append(v)
-                    fresh.append(v)
-                    if len(elements) > size_cap:
-                        raise RuntimeError(f"closure exceeded size cap {size_cap}")
-        frontier = fresh
+        for i, key in enumerate(quantized_key(products)):
+            if key not in index:
+                index[key] = len(index)
+                fresh.append(i)
+        if len(index) > size_cap:
+            raise RuntimeError(f"closure exceeded size cap {size_cap}")
+        blocks.append(products[fresh])
+    elements = np.concatenate(blocks)
     if len(elements) != expected:
         raise RuntimeError(
             f"closure stabilized at {len(elements)} elements, formula gives {expected}; "
             "canonicalization collision or missing generator")
-    group = CliffordGroup(d, np.stack(elements), index)
+    group = CliffordGroup(d, elements, index)
     _verify_normalizer(group)
     return group
 
@@ -275,31 +297,3 @@ def verify_clifford_identity(d: int, group: CliffordGroup | None = None) -> Veri
         Check.from_deviation("trace_dev", trace_dev, 1e-9),
     ]
     return VerificationReport("clifford", d, checks, metadata=report.metadata)
-
-
-def save_group_cache(group: CliffordGroup, path: str) -> None:
-    """Write (or update) the JSON group cache, keyed by dimension."""
-    mats = [[[[z.real, z.imag] for z in row] for row in u] for u in group.elements]
-    save_cache_entry(path, group.d, {"d": group.d, "count": len(group), "elements": mats})
-
-
-def _group_from_entry(d: int, entry: dict) -> CliffordGroup:
-    n = clifford_cardinality(d)
-    raw = np.asarray(entry["elements"], dtype=float)
-    if entry["count"] != n or raw.shape != (n, d, d, 2):
-        raise ValueError(f"cached group does not hold {n} complex {d}x{d} elements")
-    group = CliffordGroup(d, raw[..., 0] + 1j * raw[..., 1])
-    try:
-        _verify_normalizer(group)
-    except RuntimeError as exc:
-        raise ValueError(str(exc)) from exc
-    return group
-
-
-def load_group_cache(d: int, path: str) -> CliffordGroup | None:
-    """Reload an enumerated group, re-validated against the Weyl normalizer.
-
-    A missing, unreadable or malformed entry, or one that fails validation,
-    is a miss (None).
-    """
-    return load_cache_entry(path, d, _group_from_entry)

@@ -16,7 +16,6 @@ from .testops import RankOnePovm
 
 CACHE_ENV = "ENTVERIFY_CACHE_DIR"
 FIDUCIAL_CACHE = "fiducial-cache.json"
-GROUP_CACHE = "clifford-cache.json"
 
 
 def cache_dir(override: str | None = None) -> str:

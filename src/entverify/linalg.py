@@ -15,16 +15,6 @@ def require_finite(a: np.ndarray, name: str = "array") -> np.ndarray:
     return a
 
 
-def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product in row-major index convention (vectors or operators)."""
-    return np.kron(a, b)
-
-
-def conjugate(a: np.ndarray) -> np.ndarray:
-    """Entrywise complex conjugate in the computational basis."""
-    return np.conj(a)
-
-
 def vectorize(a: np.ndarray) -> np.ndarray:
     """Flatten a square matrix A to the bipartite vector sum_jk A_jk |j>|k> (row-major).
 

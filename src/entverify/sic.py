@@ -52,36 +52,12 @@ class FiducialSearchConfig:
     step_rule: str = "bb-armijo"
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
-
-
-@dataclass
-class SicCertificate:
-    """Deviations of a POVM from the defining SIC conditions."""
-
-    d: int
-    n_elements: int
-    max_weight_dev: float
-    max_overlap_dev: float
-    t_identity_dev: float
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return (self.n_elements == self.d * self.d
-                and self.max_weight_dev <= self.tolerance
-                and self.max_overlap_dev <= self.tolerance
-                and self.t_identity_dev <= self.tolerance)
-
-    def to_dict(self) -> dict:
-        return {"d": self.d, "n_elements": self.n_elements,
-                "max_weight_dev": self.max_weight_dev,
-                "max_overlap_dev": self.max_overlap_dev,
-                "t_identity_dev": self.t_identity_dev,
-                "tolerance": self.tolerance, "pass": self.passed}
 
 
 def known_fiducial(d: int) -> Fiducial:
@@ -119,7 +95,7 @@ def weyl_orbit(f: Fiducial) -> RankOnePovm:
     return RankOnePovm(d, np.full(d * d, 1 / d), vecs)
 
 
-def sic_check(m: RankOnePovm, tol: float = ANALYTIC_TOL) -> SicCertificate:
+def sic_check(m: RankOnePovm, tol: float = ANALYTIC_TOL) -> VerificationReport:
     """Measure deviations from the SIC conditions; failures are reported, not raised."""
     d = m.dim
     gram = m.vectors.conj() @ m.vectors.T
@@ -129,7 +105,12 @@ def sic_check(m: RankOnePovm, tol: float = ANALYTIC_TOL) -> SicCertificate:
     weight_dev = float(np.max(np.abs(m.weights - 1 / d)))
     t_dev = frobenius_distance(realized_test(m, require_complete=False).matrix,
                                invariant_test_single(d).matrix)
-    return SicCertificate(d, m.n_elements, weight_dev, overlap_dev, t_dev, tol)
+    return VerificationReport("sic", d, [
+        Check.from_deviation("element_count_dev", abs(m.n_elements - d * d), 0),
+        Check.from_deviation("weight_dev", weight_dev, tol),
+        Check.from_deviation("overlap_dev", overlap_dev, tol),
+        Check.from_deviation("t_identity_dev", t_dev, tol),
+    ])
 
 
 def _residuals(d: int, w: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -220,22 +201,18 @@ def verify_sic_identity(d: int, f: Fiducial, tol: float | None = None) -> Verifi
     if tol is None:
         tol = ANALYTIC_TOL if f.residual < 1e-12 else SEARCH_IDENTITY_TOL
     m = weyl_orbit(f)
-    cert = sic_check(m, tol)
+    report = sic_check(m, tol)
     pairs = paired_vectors(m.vectors)
     gram = pairs.conj() @ pairs.T
     gram_rank = numerical_rank(gram)
     target_rank = numerical_rank(invariant_test_single(d).matrix)
-    checks = [
-        Check.from_deviation("element_count_dev", abs(m.n_elements - d * d), 0),
-        Check.from_deviation("weight_dev", cert.max_weight_dev, tol),
-        Check.from_deviation("overlap_dev", cert.max_overlap_dev, tol),
-        Check.from_deviation("t_identity_dev", cert.t_identity_dev, tol),
+    report.checks += [
         Check.from_deviation("gram_rank_dev", abs(gram_rank - d * d), 0),
         Check.from_deviation("count_vs_rank_dev", abs(m.n_elements - target_rank), 0),
     ]
-    meta = {"fiducial_residual": f.residual, "gram_rank": gram_rank,
-            "target_rank": target_rank}
-    return VerificationReport("sic", d, checks, metadata=meta)
+    report.metadata = {"fiducial_residual": f.residual, "gram_rank": gram_rank,
+                       "target_rank": target_rank}
+    return report
 
 
 def save_fiducial_cache(f: Fiducial, path: str, seed: int | None = None) -> None:

@@ -69,9 +69,10 @@ def test_criterion_02_sic_conditions():
     for d in (2, 3) + SEARCH_DIMS:
         tol = 1e-10 if d in (2, 3) else 1e-7
         cert = sic_check(weyl_orbit(fiducial(d)), tol)
-        assert cert.n_elements == d * d
-        assert cert.max_weight_dev == 0.0
-        assert cert.max_overlap_dev < tol, f"d={d}: {cert.max_overlap_dev:.3e}"
+        assert cert.check("element_count_dev").measured == 0
+        assert cert.check("weight_dev").measured == 0.0
+        overlap_dev = cert.check("overlap_dev").measured
+        assert overlap_dev < tol, f"d={d}: {overlap_dev:.3e}"
     print("[criterion 02] PASS sic conditions for d=2..7")
 
 

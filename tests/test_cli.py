@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -164,6 +165,29 @@ def test_count_d5(capsys):
     assert doc["enumerated"] is None  # enumeration is opt-in at d=5
 
 
+def test_count_d4096_is_fast(capsys):
+    t0 = time.perf_counter()
+    code, doc = run_json(capsys, ["count", "--d", "4096", "--json"])
+    assert time.perf_counter() - t0 < 2.0
+    assert code == 0
+    assert sum(doc["nu_values"]) == 4096 ** 2
+    assert doc["prime_formula_value"] is None
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--d", "4097"],
+    ["gen", "sic", "--d", "4", "--restarts", "0"],
+    ["verify", "sic", "--d", "4", "--search-tol", "0"],
+    ["gen", "sic", "--d", "4", "--seed", "-1"],
+    ["simulate", "--scheme", "mub", "--d", "2", "--fidelity", "0.9", "--seed", "-1"],
+])
+def test_bad_value_is_one_line_usage_error(argv, capsys):
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_bad_subcommand_exits_2(capsys):
     assert main(["frobnicate"]) == 2
 
@@ -176,16 +200,25 @@ def test_unsupported_sic_dim(capsys):
     assert main(["gen", "sic", "--d", "13"]) == 2
 
 
-def test_truncated_group_cache_is_a_miss(tmp_path, capsys):
-    assert main(["verify", "clifford", "--d", "2"]) == 0
-    path = tmp_path / "cache" / "clifford-cache.json"
+def test_truncated_fiducial_cache_is_a_miss(tmp_path, capsys):
+    assert main(["verify", "sic", "--d", "4"]) == 0
+    path = tmp_path / "cache" / "fiducial-cache.json"
     text = path.read_text()
     path.write_text(text[:len(text) // 2])
     capsys.readouterr()
-    code = main(["verify", "clifford", "--d", "2"])
+    code = main(["verify", "sic", "--d", "4"])
     captured = capsys.readouterr()
     assert code == 0 and "overall: PASS" in captured.out
     assert captured.err.count("warning:") == 1
+
+
+def test_clifford_commands_write_no_cache(tmp_path, capsys):
+    assert main(["gen", "clifford", "--d", "2"]) == 0
+    assert main(["verify", "clifford", "--d", "2"]) == 0
+    assert main(["count", "--d", "2", "--enumerate"]) == 0
+    cache = tmp_path / "cache"
+    assert not (cache / "clifford-cache.json").exists()
+    assert not cache.exists() or not any(cache.iterdir())
 
 
 def test_malformed_fiducial_cache_is_a_miss(tmp_path, capsys):

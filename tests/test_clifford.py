@@ -1,14 +1,12 @@
-import json
-
 import numpy as np
 import pytest
 
 from entverify.clifford import (CliffordGroup, all_weyl, canonicalize_phase,
                                 character_moments, clifford_cardinality,
                                 clifford_generators, clifford_povm,
-                                enumerate_clifford, is_prime, load_group_cache,
+                                enumerate_clifford, is_prime,
                                 normalizes_weyl_group, pair_product_count,
-                                quantized_key, save_group_cache,
+                                pair_product_counts, quantized_key,
                                 verify_clifford_group,
                                 verify_clifford_identity, weyl,
                                 weyl_coefficients, weyl_group)
@@ -18,6 +16,33 @@ from entverify.testops import invariant_test_double, realized_test
 
 def brute_force_pair_count(n, d):
     return sum(1 for x in range(d) for y in range(d) if (x * y) % d == n % d)
+
+
+def reference_cardinality(d):
+    """The pair-count sum d^2 sum_n nu(n) nu(n+1) over brute-force counts."""
+    counts = [brute_force_pair_count(n, d) for n in range(d)]
+    return d * d * sum(counts[n] * counts[(n + 1) % d] for n in range(d))
+
+
+def reference_closure(d):
+    """Per-product breadth-first closure: elements and keys in discovery order."""
+    gens = clifford_generators(d)
+    identity = canonicalize_phase(np.eye(d, dtype=complex))
+    elements = [identity]
+    index = {quantized_key(identity): 0}
+    frontier = [identity]
+    while frontier:
+        fresh = []
+        for u in frontier:
+            for g in gens:
+                v = canonicalize_phase(u @ g)
+                key = quantized_key(v)
+                if key not in index:
+                    index[key] = len(elements)
+                    elements.append(v)
+                    fresh.append(v)
+        frontier = fresh
+    return np.stack(elements), list(index)
 
 
 def test_weyl_d2_matrices():
@@ -69,6 +94,13 @@ def test_cardinality_prime_formula(d):
     assert clifford_cardinality(d) == d ** 3 * (d * d - 1)
 
 
+def test_pair_counts_match_brute_force_reference():
+    for d in range(2, 31):
+        assert pair_product_counts(d).tolist() == [brute_force_pair_count(n, d)
+                                                   for n in range(d)]
+        assert clifford_cardinality(d) == reference_cardinality(d)
+
+
 def test_generators_d2():
     x, z, f, s = clifford_generators(2)
     h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
@@ -104,6 +136,20 @@ def test_canonicalize_idempotent(rng):
             assert np.array_equal(canonicalize_phase(c), c)
 
 
+@pytest.mark.parametrize("d", (2, 3, 5))
+def test_stack_canonicalize_and_keys_match_per_matrix(rng, d):
+    gens = clifford_generators(d)
+    phases = np.exp(1j * rng.uniform(0, 2 * np.pi, (6, 4)))
+    stack = np.stack([[g * p for g, p in zip(gens, row)] for row in phases])  # [6, 4, d, d]
+    canon = canonicalize_phase(stack)
+    assert canon.shape == stack.shape
+    for i in range(6):
+        for j in range(4):
+            assert np.array_equal(canon[i, j], canonicalize_phase(stack[i, j]))
+    flat = canon.reshape(-1, d, d)
+    assert quantized_key(flat) == [quantized_key(u) for u in flat]
+
+
 def test_canonicalize_quotients_phase(rng):
     u = clifford_generators(3)[2]
     phases = np.exp(1j * rng.uniform(0, 2 * np.pi, 5))
@@ -114,6 +160,14 @@ def test_canonicalize_quotients_phase(rng):
 @pytest.mark.parametrize("d,size", [(2, 24), (3, 216)])
 def test_enumeration_size(d, size):
     assert len(enumerate_clifford(d)) == size
+
+
+@pytest.mark.parametrize("d", (2, 3, 5))
+def test_enumeration_matches_per_product_reference(d):
+    elements, keys = reference_closure(d)
+    group = enumerate_clifford(d)
+    assert list(group.index) == keys
+    assert np.max(np.abs(group.elements - elements)) <= 1e-14
 
 
 def test_enumeration_closure_random_products(rng):
@@ -212,40 +266,6 @@ def test_verify_group_d5_checks():
     report, group = verify_clifford_group(5)
     assert report.overall
     assert len(group) == 3000
-
-
-def test_group_cache_roundtrip(tmp_path):
-    path = str(tmp_path / "clifford-cache.json")
-    group = enumerate_clifford(2)
-    save_group_cache(group, path)
-    loaded = load_group_cache(2, path)
-    assert loaded is not None
-    assert len(loaded) == 24
-    assert np.allclose(loaded.elements, group.elements)
-    assert load_group_cache(3, path) is None
-
-
-def test_group_cache_rejects_non_clifford_element(tmp_path, capsys):
-    # a T gate keeps the count right, so only the normalizer check can catch it
-    path = tmp_path / "clifford-cache.json"
-    save_group_cache(enumerate_clifford(2), str(path))
-    store = json.loads(path.read_text())
-    t_gate = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [np.cos(np.pi / 4), np.sin(np.pi / 4)]]]
-    store["entries"]["2"]["elements"][5] = t_gate
-    path.write_text(json.dumps(store))
-    assert load_group_cache(2, str(path)) is None
-    assert capsys.readouterr().err.count("warning:") == 1
-
-
-def test_group_cache_truncated_file_is_a_miss(tmp_path, capsys):
-    path = tmp_path / "clifford-cache.json"
-    save_group_cache(enumerate_clifford(2), str(path))
-    text = path.read_text()
-    path.write_text(text[:len(text) // 2])
-    assert load_group_cache(2, str(path)) is None
-    assert capsys.readouterr().err.count("warning:") == 1
-    save_group_cache(enumerate_clifford(2), str(path))  # a corrupt file is replaced
-    assert len(load_group_cache(2, str(path))) == 24
 
 
 @pytest.mark.parametrize("d", (2, 3))

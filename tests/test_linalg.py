@@ -1,53 +1,12 @@
 import numpy as np
 import pytest
-from conftest import random_hermitian, random_ket, random_unitary
+from conftest import random_hermitian, random_unitary
 
-from entverify.linalg import (conjugate, eigen_hermitian, frobenius_distance,
-                              numerical_rank, tensor_product, vectorize)
+from entverify.linalg import (eigen_hermitian, frobenius_distance,
+                              numerical_rank, vectorize)
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
-
-
-def test_tensor_identity():
-    assert np.array_equal(tensor_product(np.eye(2), np.eye(2)), np.eye(4))
-
-
-def test_tensor_basis_kets():
-    e0 = np.array([1, 0], dtype=complex)
-    e1 = np.array([0, 1], dtype=complex)
-    out = tensor_product(e0, e1)
-    assert np.array_equal(out, np.array([0, 1, 0, 0], dtype=complex))
-
-
-def test_tensor_zz_hand_expansion():
-    # Kronecker of diag(1,-1) with itself, expanded by hand
-    assert np.allclose(tensor_product(Z, Z), np.diag([1, -1, -1, 1]))
-
-
-def test_tensor_associative(rng):
-    a = random_hermitian(rng, 2)
-    b = random_hermitian(rng, 3)
-    c = random_hermitian(rng, 2)
-    left = tensor_product(tensor_product(a, b), c)
-    right = tensor_product(a, tensor_product(b, c))
-    assert np.allclose(left, right, atol=1e-13)
-
-
-def test_conjugate_real_fixed_point():
-    v = np.array([1, 0], dtype=complex)
-    assert np.array_equal(conjugate(v), v)
-
-
-def test_conjugate_definition():
-    v = np.array([1, 1j]) / np.sqrt(2)
-    assert np.allclose(conjugate(v), np.array([1, -1j]) / np.sqrt(2))
-
-
-def test_conjugate_involution(rng):
-    for _ in range(20):
-        v = random_ket(rng, 5)
-        assert np.array_equal(conjugate(conjugate(v)), v)
 
 
 def test_vectorize_identity_gives_max_entangled():

@@ -45,9 +45,9 @@ def test_orbit_of_basis_vector_complete_but_not_sic():
     m = weyl_orbit(f)  # completeness holds for any unit vector
     assert m.completeness_defect() < 1e-12
     cert = sic_check(m)
-    assert not cert.passed
+    assert not cert.overall
     # orbit vectors are |0>, |0>, |1>, -|1> up to phase: overlaps 0 and 1
-    assert cert.max_overlap_dev > 0.3
+    assert cert.check("overlap_dev").measured > 0.3
 
 
 def test_orbit_vectors_pairwise_nonparallel():
@@ -60,10 +60,10 @@ def test_orbit_vectors_pairwise_nonparallel():
 @pytest.mark.parametrize("d", (2, 3))
 def test_sic_check_passes_known(d):
     cert = sic_check(weyl_orbit(known_fiducial(d)), tol=1e-10)
-    assert cert.passed
-    assert cert.n_elements == d * d
-    assert cert.max_weight_dev == 0.0
-    assert cert.max_overlap_dev < 1e-12
+    assert cert.overall
+    assert cert.check("element_count_dev").measured == 0
+    assert cert.check("weight_dev").measured == 0.0
+    assert cert.check("overlap_dev").measured < 1e-12
 
 
 def test_sic_check_fails_padded_pvm():
@@ -72,15 +72,15 @@ def test_sic_check_fails_padded_pvm():
     vecs = np.array([[1, 0], [0, 1], [1, 0], [0, 1]], dtype=complex)
     m = RankOnePovm(2, np.full(4, 0.5), vecs)
     cert = sic_check(m)
-    assert not cert.passed
-    assert cert.max_overlap_dev > 0.3
-    assert cert.max_weight_dev == 0.0
+    assert not cert.overall
+    assert cert.check("overlap_dev").measured > 0.3
+    assert cert.check("weight_dev").measured == 0.0
 
 
 def test_search_d2_spec_config():
     f = search_fiducial(2, FiducialSearchConfig(seed=7, restarts=10))
     assert f.residual < 1e-10
-    assert sic_check(weyl_orbit(f), tol=1e-10).passed
+    assert sic_check(weyl_orbit(f), tol=1e-10).overall
 
 
 def test_search_deterministic():
@@ -95,7 +95,7 @@ def test_search_deterministic():
 def test_search_higher_dims(d):
     f = search_fiducial(d, FiducialSearchConfig(seed=0, restarts=50))
     assert f.residual < 1e-8
-    assert sic_check(weyl_orbit(f), tol=1e-7).passed
+    assert sic_check(weyl_orbit(f), tol=1e-7).overall
 
 
 def test_search_unreachable_tol_raises():
