@@ -1,5 +1,11 @@
 """Command-line surface: generate schemes, verify identities, simulate, count.
 
+Supported d, from the SCHEMES table and the same for gen, verify and simulate:
+  sic       2 <= d <= 12
+  mub       prime d <= 64
+  clifford  d in (2, 3, 5); verify checks the identity at d = 2, 3, the group at 5
+`verify --tol` overrides every nonzero check tolerance, for every scheme.
+
 Exit codes: 0 success, 1 verification or consistency failure, 2 usage error,
 3 fiducial search failure, 4 I/O error (a file that cannot be written or read).
 
@@ -12,14 +18,13 @@ import argparse
 import os
 import sys
 import time
+from collections.abc import Callable
+from dataclasses import dataclass
 
 from . import __version__, clifford, mub, protocol, sic
 from .jsonio import FIDUCIAL_CACHE, cache_dir, dump_json, povm_to_dict
 from .report import Check, VerificationReport
 
-SIC_SEARCH_MAX_D = 12
-MUB_MAX_D = 64
-CLIFFORD_GEN_DS = (2, 3, 5)
 COUNT_MAX_D = 4096
 
 
@@ -27,9 +32,22 @@ class UsageError(ValueError):
     pass
 
 
+@dataclass(frozen=True)
+class Scheme:
+    """Supported d (2 <= d <= max_d, primes only if `prime`) and each command's steps."""
+
+    max_d: int
+    prime: bool
+    build: Callable    # (d, args) -> fiducial, MUB family or group
+    povm: Callable     # built data -> RankOnePovm
+    certify: Callable  # (d, built data) -> VerificationReport
+    state: Callable    # (d, fidelity) -> the state that simulate tests
+
+    def supports(self, d: int) -> bool:
+        return 2 <= d <= self.max_d and (not self.prime or clifford.is_prime(d))
+
+
 def _fiducial(d: int, args) -> sic.Fiducial:
-    if not 2 <= d <= SIC_SEARCH_MAX_D:
-        raise UsageError(f"sic supports 2 <= d <= {SIC_SEARCH_MAX_D}, got {d}")
     try:
         cfg = sic.FiducialSearchConfig(seed=args.seed, restarts=args.restarts,
                                        tol=args.search_tol)
@@ -39,20 +57,34 @@ def _fiducial(d: int, args) -> sic.Fiducial:
     return sic.get_fiducial(d, cfg, cache_path=cache)
 
 
-def _group(d: int) -> clifford.CliffordGroup:
-    if d not in CLIFFORD_GEN_DS:
-        raise UsageError(f"clifford supports d in {CLIFFORD_GEN_DS}, got {d}")
-    return clifford.enumerate_clifford(d)
+def _certify_clifford(d: int, group: clifford.CliffordGroup) -> VerificationReport:
+    if d in clifford.IDENTITY_DS:
+        return clifford.verify_clifford_identity(d, group)
+    return clifford.verify_clifford_group(d, group)[0]
 
 
-def _mub_family(d: int) -> mub.MubFamily:
-    if not 2 <= d <= MUB_MAX_D or not clifford.is_prime(d):
-        raise UsageError(f"mub requires prime d <= {MUB_MAX_D}: d must be prime")
-    return mub.mub_prime(d)
+SCHEMES = {
+    "sic": Scheme(12, False, _fiducial, sic.weyl_orbit, sic.verify_sic_identity,
+                  protocol.isotropic_state),
+    "mub": Scheme(64, True, lambda d, args: mub.mub_prime(d), mub.mub_povm,
+                  mub.verify_mub_identity, protocol.isotropic_state),
+    "clifford": Scheme(5, True, lambda d, args: clifford.enumerate_clifford(d),
+                       clifford.clifford_povm, _certify_clifford,
+                       protocol.double_isotropic_state),
+}
+
+
+def _scheme(args) -> Scheme:
+    """The record of args.scheme; an unsupported args.d is a usage error."""
+    scheme = SCHEMES[args.scheme]
+    if not scheme.supports(args.d):
+        limit = f"{'prime d' if scheme.prime else '2 <= d'} <= {scheme.max_d}"
+        raise UsageError(f"{args.scheme} supports {limit}, got d={args.d}")
+    return scheme
 
 
 def _metadata(args) -> dict:
-    return {"seed": getattr(args, "seed", None), "version": __version__,
+    return {"seed": args.seed, "version": __version__,
             "created": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())}
 
 
@@ -66,41 +98,22 @@ def _print_report(report: VerificationReport) -> None:
 
 
 def cmd_gen(args) -> int:
-    d = args.d
-    if args.scheme == "sic":
-        f = _fiducial(d, args)
-        povm = sic.weyl_orbit(f)
-        doc = povm_to_dict(povm, "sic", d)
-        doc["fiducial_residual"] = f.residual
-    elif args.scheme == "mub":
-        povm = mub.mub_povm(_mub_family(d))
-        doc = povm_to_dict(povm, "mub", d)
-    else:
-        povm = clifford.clifford_povm(_group(d))
-        doc = povm_to_dict(povm, "clifford", d)
+    scheme = _scheme(args)
+    data = scheme.build(args.d, args)
+    doc = povm_to_dict(scheme.povm(data), args.scheme, args.d)
+    if isinstance(data, sic.Fiducial):
+        doc["fiducial_residual"] = data.residual
     dump_json(doc, args.out)
     return 0
 
 
 def cmd_verify(args) -> int:
-    d = args.d
-    if args.scheme == "sic":
-        f = _fiducial(d, args)
-        report = sic.verify_sic_identity(d, f, tol=args.tol)
-    elif args.scheme == "mub":
-        _mub_family(d)
-        report = mub.verify_mub_identity(d)
-        if args.tol is not None:
-            # override the metric tolerances; exact integer checks keep tol 0
-            report.checks = [Check.from_deviation(c.name, c.measured, args.tol)
-                             if c.tolerance > 0 else c for c in report.checks]
-    else:
-        if d in (2, 3):
-            report = clifford.verify_clifford_identity(d, _group(d))
-        elif d == 5:
-            report, _ = clifford.verify_clifford_group(d, _group(d))
-        else:
-            raise UsageError(f"clifford verification supports d in (2, 3, 5), got {d}")
+    scheme = _scheme(args)
+    report = scheme.certify(args.d, scheme.build(args.d, args))
+    if args.tol is not None:
+        # exact integer checks keep tolerance 0; every other check takes --tol
+        report.checks = [Check.from_deviation(c.name, c.measured, args.tol)
+                         if c.tolerance > 0 else c for c in report.checks]
     report.metadata.update(_metadata(args))
     if args.json or args.out:
         dump_json(report.to_dict(), args.out)
@@ -117,17 +130,9 @@ def cmd_simulate(args) -> int:
         raise UsageError(f"shots must lie in [1, {protocol.MAX_SHOTS}], got {args.shots}")
     if args.seed < 0:
         raise UsageError(f"seed must be non-negative, got {args.seed}")
-    if args.scheme == "sic":
-        povm = sic.weyl_orbit(_fiducial(d, args))
-        state = protocol.isotropic_state(d, args.fidelity)
-    elif args.scheme == "mub":
-        povm = mub.mub_povm(_mub_family(d))
-        state = protocol.isotropic_state(d, args.fidelity)
-    else:
-        if d not in (2, 3):
-            raise UsageError(f"clifford simulation supports d in (2, 3), got {d}")
-        povm = clifford.clifford_povm(_group(d))
-        state = protocol.double_isotropic_state(d, args.fidelity)
+    scheme = _scheme(args)
+    povm = scheme.povm(scheme.build(d, args))
+    state = scheme.state(d, args.fidelity)
     transcript = protocol.run_protocol(povm, state, args.shots, args.seed)
     doc = {"schema": 1, "scheme": args.scheme, "d": d, "fidelity": args.fidelity}
     doc.update(transcript.to_dict())
@@ -155,9 +160,8 @@ def cmd_count(args) -> int:
         "prime_formula_value": d ** 3 * (d * d - 1) if clifford.is_prime(d) else None,
         "enumerated": None,
     }
-    if args.enumerate or d in (2, 3):
-        if d in CLIFFORD_GEN_DS:
-            doc["enumerated"] = len(_group(d))
+    if (args.enumerate or d in (2, 3)) and SCHEMES["clifford"].supports(d):
+        doc["enumerated"] = len(clifford.enumerate_clifford(d))
     if args.json or args.out:
         dump_json(doc, args.out)
     else:
@@ -175,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, scheme_positional=True):
         if scheme_positional:
-            p.add_argument("scheme", choices=["sic", "mub", "clifford"])
+            p.add_argument("scheme", choices=SCHEMES)
         p.add_argument("--d", type=int, required=True, help="local dimension")
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument("--out", help="write JSON to this file")
@@ -191,11 +195,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the certification checks")
     common(p_verify)
-    p_verify.add_argument("--tol", type=float, default=None, help="override check tolerance")
+    p_verify.add_argument("--tol", type=float, default=None,
+                          help="override every nonzero check tolerance")
     p_verify.set_defaults(func=cmd_verify)
 
     p_sim = sub.add_parser("simulate", help="protocol simulation (samples outcome counts)")
-    p_sim.add_argument("--scheme", choices=["sic", "mub", "clifford"], required=True)
+    p_sim.add_argument("--scheme", choices=SCHEMES, required=True)
     common(p_sim, scheme_positional=False)
     p_sim.add_argument("--fidelity", type=float, required=True)
     p_sim.add_argument("--shots", type=int, default=100000)

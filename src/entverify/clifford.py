@@ -12,16 +12,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import frobenius_distance, vectorize
+from .linalg import frobenius_distance
 from .report import Check, VerificationReport
-from .testops import (RankOnePovm, TestOperator, invariant_test_double,
-                      realized_test)
+from .testops import RankOnePovm, invariant_test_double, realized_test
 
 UNITARY_TOL = 1e-10
 NORMALIZER_TOL = 1e-10
 PIVOT_TIE_TOL = 1e-9
 HASH_GRID = 1e-6
 DEFAULT_SIZE_CAP = 10000
+IDENTITY_DS = (2, 3)  # d at which the d^4 x d^4 two-pair identity is certified
 
 
 def weyl(d: int, i: int, j: int) -> np.ndarray:
@@ -281,10 +281,10 @@ def verify_clifford_group(d: int, group: CliffordGroup | None = None) -> tuple[V
 def verify_clifford_identity(d: int, group: CliffordGroup | None = None) -> VerificationReport:
     """Certify that the group-orbit POVM realizes the two-pair invariant test.
 
-    Restricted to d in {2, 3}: the realized operator lives on dimension d^4.
+    Restricted to d in IDENTITY_DS: the realized operator lives on dimension d^4.
     """
-    if d not in (2, 3):
-        raise ValueError("identity verification is supported for d = 2 and 3 only")
+    if d not in IDENTITY_DS:
+        raise ValueError(f"identity verification is supported for d in {IDENTITY_DS} only")
     tol = 1e-10 if d == 2 else 1e-9
     report, group = verify_clifford_group(d, group)
     povm = clifford_povm(group)

@@ -18,9 +18,7 @@ CACHE_ENV = "ENTVERIFY_CACHE_DIR"
 FIDUCIAL_CACHE = "fiducial-cache.json"
 
 
-def cache_dir(override: str | None = None) -> str:
-    if override:
-        return override
+def cache_dir() -> str:
     env = os.environ.get(CACHE_ENV)
     if env:
         return env

@@ -112,15 +112,16 @@ def projected_span_ranks(fam: MubFamily) -> list[int]:
     return ranks
 
 
-def verify_mub_identity(d: int) -> VerificationReport:
-    """Certify the MUB scheme for prime d.
+def verify_mub_identity(d: int, fam: MubFamily | None = None) -> VerificationReport:
+    """Certify the MUB scheme for prime d (on fam, else on mub_prime(d)).
 
     Checks the realized-test identity in Frobenius norm, the mutual
     orthogonality of the per-basis paired-vector subspaces (after removing
     the maximally entangled component), the projected span ranks, and that
     the basis count meets the projective-measurement lower bound exactly.
     """
-    fam = mub_prime(d)
+    if fam is None:
+        fam = mub_prime(d)
     m = mub_povm(fam)
     dist = frobenius_distance(realized_test(m).matrix,
                               invariant_test_single(d).matrix)

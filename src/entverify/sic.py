@@ -49,7 +49,6 @@ class FiducialSearchConfig:
     restarts: int = 50
     max_iters: int = 2000
     tol: float = 1e-8
-    step_rule: str = "bb-armijo"
 
     def __post_init__(self):
         if self.seed < 0:
@@ -191,15 +190,15 @@ def search_fiducial(d: int, cfg: FiducialSearchConfig | None = None) -> Fiducial
     return Fiducial(d, best_vec, best_maxdev)
 
 
-def verify_sic_identity(d: int, f: Fiducial, tol: float | None = None) -> VerificationReport:
+def verify_sic_identity(d: int, f: Fiducial) -> VerificationReport:
     """Certify the SIC scheme built from a fiducial.
 
     Checks the realized-test identity in Frobenius norm, the linear
     independence of the d^2 paired vectors (Gram rank), and that the element
     count meets the rank lower bound of the target test with equality.
+    Tolerances: ANALYTIC_TOL for an exact fiducial, SEARCH_IDENTITY_TOL for a searched one.
     """
-    if tol is None:
-        tol = ANALYTIC_TOL if f.residual < 1e-12 else SEARCH_IDENTITY_TOL
+    tol = ANALYTIC_TOL if f.residual < 1e-12 else SEARCH_IDENTITY_TOL
     m = weyl_orbit(f)
     report = sic_check(m, tol)
     pairs = paired_vectors(m.vectors)

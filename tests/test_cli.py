@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from entverify.cli import main
+from entverify.cli import SCHEMES, build_parser, main
 from entverify.jsonio import povm_from_dict, povm_to_dict
 from entverify.mub import mub_povm, mub_prime
 from entverify.sic import known_fiducial, weyl_orbit
@@ -95,8 +95,9 @@ def test_verify_clifford_d2_check_names(capsys):
     assert doc["metadata"]["elements"] == 24
 
 
-def test_verify_failing_tolerance_exits_1(capsys):
-    code, doc = run_json(capsys, ["verify", "sic", "--d", "2", "--json", "--tol", "1e-18"])
+@pytest.mark.parametrize("scheme", ["sic", "mub", "clifford"])
+def test_verify_failing_tolerance_exits_1(scheme, capsys):
+    code, doc = run_json(capsys, ["verify", scheme, "--d", "2", "--json", "--tol", "1e-18"])
     assert code == 1
     assert doc["overall"] is False  # report still emitted
 
@@ -137,6 +138,21 @@ def test_simulate_clifford_double(capsys):
         "--shots", "20000", "--json"])
     assert code == 0
     assert abs(doc["analytic"] - (0.64 + 0.04 / 3)) < 1e-12
+
+
+def test_simulate_clifford_d5(capsys):
+    code, doc = run_json(capsys, [
+        "simulate", "--scheme", "clifford", "--d", "5", "--fidelity", "0.8",
+        "--shots", "1000", "--json"])
+    assert code in (0, 1)
+    assert abs(doc["analytic"] - (0.64 + 0.04 / 24)) < 1e-12
+
+
+def test_scheme_table_names_the_parser_choices():
+    commands = next(a for a in build_parser()._actions if a.dest == "command").choices
+    for name in ("gen", "verify", "simulate"):
+        action = next(a for a in commands[name]._actions if a.dest == "scheme")
+        assert list(action.choices) == list(SCHEMES)
 
 
 def test_count_d2(capsys):
@@ -186,6 +202,20 @@ def test_bad_value_is_one_line_usage_error(argv, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("scheme,d", [("sic", 13), ("mub", 4), ("mub", 67), ("clifford", 7)])
+@pytest.mark.parametrize("command", ["gen", "verify", "simulate"])
+def test_unsupported_d_is_one_line_usage_error(command, scheme, d, capsys):
+    if command == "simulate":
+        argv = ["simulate", "--scheme", scheme, "--fidelity", "0.9"]
+    else:
+        argv = [command, scheme]
+    code = main(argv + ["--d", str(d)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: {scheme} supports ") and err.endswith(f", got d={d}\n")
+    assert err.count("\n") == 1
 
 
 def test_bad_subcommand_exits_2(capsys):

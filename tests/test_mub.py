@@ -124,3 +124,7 @@ def test_verify_mub_d29_runtime_guard():
     elapsed = time.perf_counter() - start
     assert report.overall
     assert elapsed < 2.0, f"verify_mub_identity(29) took {elapsed:.2f} s"
+
+
+def test_verify_identity_on_a_given_family_matches_the_built_one():
+    assert verify_mub_identity(5, mub_prime(5)).to_dict() == verify_mub_identity(5).to_dict()
