@@ -48,6 +48,29 @@ def require_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL, name: str = "ma
     return a
 
 
+def require_psd(a: np.ndarray, tol: float, name: str = "matrix") -> np.ndarray:
+    """Reject a Hermitian matrix whose smallest eigenvalue is below -tol.
+
+    Cholesky of a + tol*I succeeds exactly when a + tol*I is positive
+    definite, which is the rule lambda_min >= -tol at about a third of the
+    cost of the full spectrum. Cholesky of a itself is tried first: if it
+    succeeds, a is positive definite up to rounding (far below any tol used
+    here), and the shifted copy, which would raise peak memory, is not made.
+    """
+    try:
+        np.linalg.cholesky(a)
+        return a
+    except np.linalg.LinAlgError:
+        pass
+    shifted = a.copy()
+    shifted.flat[::a.shape[0] + 1] += tol
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        raise ValueError(f"{name} is not positive semi-definite") from None
+    return a
+
+
 def eigen_hermitian(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (real, descending) and matching eigenvector columns of a Hermitian matrix."""
     a = require_hermitian(a)

@@ -12,10 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clifford import is_prime
-from .linalg import frobenius_distance, numerical_rank
+from .linalg import numerical_rank
 from .report import Check, VerificationReport
-from .testops import (RankOnePovm, invariant_test_single, max_entangled,
-                      paired_vectors, realized_test)
+from .testops import RankOnePovm, bell_certificate
 
 MUB_TOL = 1e-10
 
@@ -58,33 +57,68 @@ def mub_prime(d: int) -> MubFamily:
     return MubFamily(d, bases)
 
 
+@dataclass(frozen=True)
+class _Overlaps:
+    """What one d x n Gram per basis shows about a family (n = all family vectors)."""
+
+    basis_dev: float         # within-basis Gram against the identity
+    cross_dev: float         # |<u_i|u_j>|^2 against 1/d across bases
+    ortho_dev: float         # centered paired vectors across bases
+    ranks: list[int]         # rank of each basis's centered paired-vector Gram
+
+
+def _overlaps(fam: MubFamily) -> _Overlaps:
+    """Gram data of the family; the paired vectors u x conj(u) are never formed.
+
+    With phi the maximally entangled state, the centered paired vectors
+    c_i = u_i x conj(u_i) - <phi|u_i x conj(u_i)> phi satisfy exactly
+    <c_i|c_j> = |<u_i|u_j>|^2 - |u_i|^2 |u_j|^2 / d, so every check is read
+    from the Grams <u_i|u_j> of basis j against bases j..k-1.
+    """
+    d = fam.d
+    vecs = fam.bases.reshape(-1, d)
+    sq_norms = np.sum(np.abs(vecs) ** 2, axis=1)
+    basis_dev = cross_dev = ortho_dev = 0.0
+    ranks = []
+    for j in range(fam.n_bases):
+        rows = slice(j * d, (j + 1) * d)
+        gram = fam.bases[j].conj() @ vecs[j * d:].T
+        overlap_sq = np.abs(gram) ** 2
+        centered = overlap_sq - np.outer(sq_norms[rows], sq_norms[j * d:]) / d
+        basis_dev = max(basis_dev, float(np.max(np.abs(gram[:, :d] - np.eye(d)))))
+        ranks.append(numerical_rank(centered[:, :d]))
+        if j + 1 < fam.n_bases:
+            cross_dev = max(cross_dev, float(np.max(np.abs(overlap_sq[:, d:] - 1 / d))))
+            ortho_dev = max(ortho_dev, float(np.max(np.abs(centered[:, d:]))))
+    return _Overlaps(basis_dev, cross_dev, ortho_dev, ranks)
+
+
+def _family_report(fam: MubFamily, ov: _Overlaps, tol: float) -> VerificationReport:
+    checks = [
+        Check.from_deviation("basis_orthonormality_dev", ov.basis_dev, tol),
+        Check.from_deviation("cross_overlap_dev", ov.cross_dev, tol),
+    ]
+    return VerificationReport("mub", fam.d, checks, metadata={"n_bases": fam.n_bases})
+
+
 def mub_check(fam: MubFamily, tol: float = MUB_TOL) -> VerificationReport:
     """Max deviation of within-basis Grams from identity and cross overlaps from 1/d."""
-    d = fam.d
-    basis_dev = 0.0
-    cross_dev = 0.0
-    for j in range(fam.n_bases):
-        gram = fam.bases[j].conj() @ fam.bases[j].T
-        basis_dev = max(basis_dev, float(np.max(np.abs(gram - np.eye(d)))))
-        for jp in range(j + 1, fam.n_bases):
-            cross = np.abs(fam.bases[j].conj() @ fam.bases[jp].T) ** 2
-            cross_dev = max(cross_dev, float(np.max(np.abs(cross - 1 / d))))
-    checks = [
-        Check.from_deviation("basis_orthonormality_dev", basis_dev, tol),
-        Check.from_deviation("cross_overlap_dev", cross_dev, tol),
-    ]
-    return VerificationReport("mub", d, checks, metadata={"n_bases": fam.n_bases})
+    return _family_report(fam, _overlaps(fam), tol)
+
+
+def _uniform_povm(fam: MubFamily, family: VerificationReport) -> RankOnePovm:
+    """Uniform POVM over the family vectors; raises unless its mub_check report passed."""
+    if not family.overall:
+        raise ValueError("family fails the mutual unbiasedness check: "
+                         + ", ".join(f"{c.name}={c.measured:.3e}" for c in family.checks))
+    vecs = fam.bases.reshape(-1, fam.d)
+    weights = np.full(vecs.shape[0], 1 / fam.n_bases)
+    return RankOnePovm(fam.d, weights, vecs)
 
 
 def mub_povm(fam: MubFamily) -> RankOnePovm:
     """Uniform POVM over all family vectors with weights 1/(number of bases)."""
-    report = mub_check(fam)
-    if not report.overall:
-        raise ValueError("family fails the mutual unbiasedness check: "
-                         + ", ".join(f"{c.name}={c.measured:.3e}" for c in report.checks))
-    vecs = fam.bases.reshape(-1, fam.d)
-    weights = np.full(vecs.shape[0], 1 / fam.n_bases)
-    return RankOnePovm(fam.d, weights, vecs)
+    return _uniform_povm(fam, mub_check(fam))
 
 
 def pvm_count_bound(d: int) -> int:
@@ -101,49 +135,37 @@ def pvm_count_bound(d: int) -> int:
 
 def projected_span_ranks(fam: MubFamily) -> list[int]:
     """Rank of each basis's paired-vector span projected off the entangled state."""
-    d = fam.d
-    phi = max_entangled(d)
-    ranks = []
-    for j in range(fam.n_bases):
-        pairs = paired_vectors(fam.bases[j])
-        projected = pairs - np.outer(pairs @ phi.conj(), phi)
-        gram = projected.conj() @ projected.T
-        ranks.append(numerical_rank(gram))
-    return ranks
+    return _overlaps(fam).ranks
 
 
 def verify_mub_identity(d: int, fam: MubFamily | None = None) -> VerificationReport:
     """Certify the MUB scheme for prime d (on fam, else on mub_prime(d)).
 
-    Checks the realized-test identity in Frobenius norm, the mutual
-    orthogonality of the per-basis paired-vector subspaces (after removing
-    the maximally entangled component), the projected span ranks, and that
-    the basis count meets the projective-measurement lower bound exactly.
+    Checks the realized-test identity from the Bell spectrum together with
+    the Weyl covariance it rests on (testops.bell_certificate; each basis must
+    be mapped onto itself by X and Z), the mutual orthogonality of the
+    per-basis paired-vector subspaces (after removing the maximally entangled
+    component), the projected span ranks, and that the basis count meets the
+    projective-measurement lower bound exactly. Needs O(d^3) memory: no
+    d^2 x d^2 operator and no Gram of all family vectors is formed. A family
+    that is not Weyl covariant (mub_prime(d) rotated by a generic unitary)
+    fails weyl_covariance_dev, although it realizes the same test.
     """
     if fam is None:
         fam = mub_prime(d)
-    m = mub_povm(fam)
-    dist = frobenius_distance(realized_test(m).matrix,
-                              invariant_test_single(d).matrix)
-
-    phi = max_entangled(d)
-    pairs = paired_vectors(m.vectors)
-    centered = pairs - np.outer(pairs @ phi.conj(), phi)
-    gram = centered.conj() @ centered.T
-    basis_of = np.repeat(np.arange(fam.n_bases), d)
-    cross_mask = basis_of[:, None] != basis_of[None, :]
-    ortho_dev = float(np.max(np.abs(gram[cross_mask])))
-
-    ranks = projected_span_ranks(fam)
-    rank_dev = max(abs(r - (d - 1)) for r in ranks)
+    ov = _overlaps(fam)
+    m = _uniform_povm(fam, _family_report(fam, ov, MUB_TOL))
+    t_dev, cov_dev = bell_certificate(m, block=d)
+    rank_dev = max(abs(r - (d - 1)) for r in ov.ranks)
     count_dev = abs(fam.n_bases - pvm_count_bound(d))
 
     checks = [
-        Check.from_deviation("t_identity_dev", dist, MUB_TOL),
-        Check.from_deviation("cross_subspace_ortho_dev", ortho_dev, MUB_TOL),
+        Check.from_deviation("t_identity_dev", t_dev, MUB_TOL),
+        Check.from_deviation("weyl_covariance_dev", cov_dev, MUB_TOL),
+        Check.from_deviation("cross_subspace_ortho_dev", ov.ortho_dev, MUB_TOL),
         Check.from_deviation("projected_rank_dev", rank_dev, 0),
         Check.from_deviation("pvm_count_dev", count_dev, 0),
     ]
-    meta = {"n_bases": fam.n_bases, "projected_ranks": ranks,
+    meta = {"n_bases": fam.n_bases, "projected_ranks": ov.ranks,
             "pvm_count_bound": pvm_count_bound(d)}
     return VerificationReport("mub", d, checks, metadata=meta)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import require_finite, require_hermitian
+from .linalg import require_finite, require_hermitian, require_psd
 from .testops import (RankOnePovm, TestOperator, acceptance_probability,
                       max_entangled, paired_vectors, permute_subsystems)
 
@@ -45,8 +45,7 @@ class BipartiteState:
         require_hermitian(self.rho, name="state")
         if abs(np.trace(self.rho).real - 1) > 1e-10:
             raise ValueError("state trace must be 1")
-        if np.linalg.eigvalsh(self.rho)[0] < -1e-10:
-            raise ValueError("state must be positive semi-definite")
+        require_psd(self.rho, 1e-10, name="state")
 
 
 @dataclass(eq=False)

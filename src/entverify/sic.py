@@ -15,10 +15,9 @@ import numpy as np
 from .clifford import all_weyl
 from .jsonio import (load_cache_entry, pairs_to_vector, save_cache_entry,
                      vector_to_pairs)
-from .linalg import frobenius_distance, numerical_rank
+from .linalg import RANK_TOL, numerical_rank
 from .report import Check, VerificationReport
-from .testops import (RankOnePovm, invariant_test_single, paired_vectors,
-                      realized_test)
+from .testops import RankOnePovm, bell_certificate, invariant_bell_spectrum
 
 ANALYTIC_TOL = 1e-10
 SEARCH_IDENTITY_TOL = 1e-7
@@ -95,20 +94,23 @@ def weyl_orbit(f: Fiducial) -> RankOnePovm:
 
 
 def sic_check(m: RankOnePovm, tol: float = ANALYTIC_TOL) -> VerificationReport:
-    """Measure deviations from the SIC conditions; failures are reported, not raised."""
+    """Measure deviations from the SIC conditions; failures are reported, not raised.
+
+    The realized-test identity comes from testops.bell_certificate with the
+    whole POVM as one block: X and Z must map the orbit onto itself.
+    """
     d = m.dim
-    gram = m.vectors.conj() @ m.vectors.T
-    overlap_sq = np.abs(gram) ** 2
+    overlap_sq = np.abs(m.vectors.conj() @ m.vectors.T) ** 2
     off = ~np.eye(m.n_elements, dtype=bool)
     overlap_dev = float(np.max(np.abs(overlap_sq[off] - 1 / (d + 1)))) if m.n_elements > 1 else 0.0
     weight_dev = float(np.max(np.abs(m.weights - 1 / d)))
-    t_dev = frobenius_distance(realized_test(m, require_complete=False).matrix,
-                               invariant_test_single(d).matrix)
+    t_dev, cov_dev = bell_certificate(m, block=m.n_elements)
     return VerificationReport("sic", d, [
         Check.from_deviation("element_count_dev", abs(m.n_elements - d * d), 0),
         Check.from_deviation("weight_dev", weight_dev, tol),
         Check.from_deviation("overlap_dev", overlap_dev, tol),
         Check.from_deviation("t_identity_dev", t_dev, tol),
+        Check.from_deviation("weyl_covariance_dev", cov_dev, tol),
     ])
 
 
@@ -193,18 +195,18 @@ def search_fiducial(d: int, cfg: FiducialSearchConfig | None = None) -> Fiducial
 def verify_sic_identity(d: int, f: Fiducial) -> VerificationReport:
     """Certify the SIC scheme built from a fiducial.
 
-    Checks the realized-test identity in Frobenius norm, the linear
-    independence of the d^2 paired vectors (Gram rank), and that the element
-    count meets the rank lower bound of the target test with equality.
+    Checks the realized-test identity and the Weyl covariance it rests on
+    (sic_check), the linear independence of the d^2 paired vectors
+    u x conj(u) (their Gram is |<u_i|u_j>|^2, the squared moduli of the
+    vector Gram), and that the element count meets the rank lower bound of
+    the target test with equality.
     Tolerances: ANALYTIC_TOL for an exact fiducial, SEARCH_IDENTITY_TOL for a searched one.
     """
     tol = ANALYTIC_TOL if f.residual < 1e-12 else SEARCH_IDENTITY_TOL
     m = weyl_orbit(f)
     report = sic_check(m, tol)
-    pairs = paired_vectors(m.vectors)
-    gram = pairs.conj() @ pairs.T
-    gram_rank = numerical_rank(gram)
-    target_rank = numerical_rank(invariant_test_single(d).matrix)
+    gram_rank = numerical_rank(np.abs(m.vectors.conj() @ m.vectors.T) ** 2)
+    target_rank = int(np.count_nonzero(invariant_bell_spectrum(d) > RANK_TOL))
     report.checks += [
         Check.from_deviation("gram_rank_dev", abs(gram_rank - d * d), 0),
         Check.from_deviation("count_vs_rank_dev", abs(m.n_elements - target_rank), 0),

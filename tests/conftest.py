@@ -18,6 +18,15 @@ def random_ket(rng: np.random.Generator, d: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def state_with_min_eigenvalue(rng: np.random.Generator, n: int, lam_min: float) -> np.ndarray:
+    """Hermitian n x n matrix of trace 1 in a random basis, smallest eigenvalue lam_min."""
+    vals = np.full(n, (1 - lam_min) / (n - 1))
+    vals[0] = lam_min
+    u = random_unitary(rng, n)
+    rho = (u * vals) @ u.conj().T
+    return (rho + rho.conj().T) / 2
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240811)

@@ -1,7 +1,9 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import random_unitary
 
 from entverify.linalg import frobenius_distance
 from entverify.mub import (MubFamily, mub_check, mub_povm, mub_prime,
@@ -117,13 +119,44 @@ def test_scheme_meets_bound_with_equality(d):
 
 
 def test_verify_mub_d29_runtime_guard():
-    # about 0.3 s with the matrix-product assembly on 2 CPUs; the three-index
-    # einsum it replaced took about 4 s, so this fails if that path returns
+    # about 0.05 s with the Bell-spectrum certificate on 2 CPUs, 0.3 s with the
+    # dense matrix-product assembly and about 4 s with the three-index einsum
+    # before it: this fails if the einsum returns, the d = 61 guard below if
+    # the dense assembly does
     start = time.perf_counter()
     report = verify_mub_identity(29)
     elapsed = time.perf_counter() - start
     assert report.overall
     assert elapsed < 2.0, f"verify_mub_identity(29) took {elapsed:.2f} s"
+
+
+def test_verify_mub_d61_runtime_and_memory_guard():
+    # the Bell-spectrum certificate takes about 0.5 s and 26 MB at d = 61;
+    # the dense path it replaced took about 10 s and 1.1 GB (numpy buffers
+    # are traced by tracemalloc)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        report = verify_mub_identity(61)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.overall
+    assert elapsed < 3.0, f"verify_mub_identity(61) took {elapsed:.2f} s"
+    assert peak < 200e6, f"verify_mub_identity(61) peaked at {peak / 1e6:.0f} MB"
+
+
+def test_rotated_family_is_not_certified(rng):
+    # a rotated MUB family realizes the same test, but X and Z no longer map
+    # its bases onto themselves, so the Bell-spectrum certificate does not apply
+    fam = mub_prime(3)
+    rotated = MubFamily(3, fam.bases @ random_unitary(rng, 3).T)
+    report = verify_mub_identity(3, rotated)
+    assert mub_check(rotated).overall
+    assert report.check("weyl_covariance_dev").measured > 0.1
+    assert not report.check("weyl_covariance_dev").passed
+    assert not report.overall
 
 
 def test_verify_identity_on_a_given_family_matches_the_built_one():

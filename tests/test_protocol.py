@@ -2,7 +2,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import random_unitary
+from conftest import random_unitary, state_with_min_eigenvalue
 
 from entverify.clifford import clifford_povm, enumerate_clifford, weyl_group
 from entverify.mub import mub_povm, mub_prime
@@ -291,3 +291,15 @@ def test_cost_does_not_grow_with_shots():
     assert time.perf_counter() - start < 1.0
     assert int(t.alice_outcome_counts.sum()) == 10 ** 12
     assert abs(t.estimate - t.analytic) <= 5 * t.stderr
+
+
+@pytest.mark.parametrize("lam_min,ok", [(-10e-10, False), (-0.1e-10, True)])
+@pytest.mark.parametrize("d,structure", [(3, "single"), (2, "double")])
+def test_state_psd_rule_matches_eigvalsh(rng, d, structure, lam_min, ok):
+    rho = state_with_min_eigenvalue(rng, d ** (2 if structure == "single" else 4), lam_min)
+    assert (np.linalg.eigvalsh(rho)[0] >= -1e-10) == ok
+    if ok:
+        BipartiteState(d, rho, structure)
+    else:
+        with pytest.raises(ValueError, match="positive semi-definite"):
+            BipartiteState(d, rho, structure)

@@ -75,6 +75,8 @@ def test_sic_check_fails_padded_pvm():
     assert not cert.overall
     assert cert.check("overlap_dev").measured > 0.3
     assert cert.check("weight_dev").measured == 0.0
+    # X maps both copies of |0> to |1>, so X does not permute the elements
+    assert not cert.check("weyl_covariance_dev").passed
 
 
 def test_search_d2_spec_config():

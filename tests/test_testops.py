@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
-from conftest import random_ket
+from conftest import random_ket, state_with_min_eigenvalue
 
-from entverify.clifford import clifford_povm, enumerate_clifford
+from entverify.clifford import all_weyl, clifford_povm, enumerate_clifford
 from entverify.linalg import (eigen_hermitian, frobenius_distance,
                               numerical_rank)
 from entverify.mub import mub_povm, mub_prime
-from entverify.sic import known_fiducial, weyl_orbit
+from entverify.sic import (FiducialSearchConfig, known_fiducial,
+                           search_fiducial, weyl_orbit)
 from entverify.testops import (CompletenessError, RankOnePovm,
-                               acceptance_probability, invariant_test_double,
+                               acceptance_probability, bell_certificate,
+                               bell_spectrum, invariant_test_double,
                                invariant_test_single, max_entangled,
                                paired_vectors, permute_subsystems,
                                realized_test)
@@ -222,3 +224,68 @@ def test_paired_vectors_rows_are_kron_with_conjugate(rng):
     pairs = paired_vectors(vecs)
     for v, p in zip(vecs, pairs):
         assert np.array_equal(p, np.kron(v, v.conj()))
+
+
+def _dense_bell(m):
+    """Bell-basis matrix of realized_test(m), Bell vector k = vec(W_k)/sqrt(d)."""
+    d = m.dim
+    bell = np.stack([w.reshape(-1) for w in all_weyl(d)], axis=1) / np.sqrt(d)
+    t = realized_test(m, require_complete=False).matrix
+    return bell.conj().T @ t @ bell, frobenius_distance(t, invariant_test_single(d).matrix)
+
+
+BELL_CASES = {
+    **{f"mub{d}": (lambda d=d: (mub_povm(mub_prime(d)), d)) for d in (2, 3, 5, 7)},
+    **{f"sic{d}": (lambda d=d: (weyl_orbit(known_fiducial(d)), d * d)) for d in (2, 3)},
+    "sic4-searched": lambda: (weyl_orbit(search_fiducial(4, FiducialSearchConfig(seed=0))), 16),
+}
+
+
+@pytest.mark.parametrize("case", BELL_CASES)
+def test_bell_certificate_matches_dense_reference(case):
+    m, block = BELL_CASES[case]()
+    t_bell, dist = _dense_bell(m)
+    assert np.max(np.abs(bell_spectrum(m) - np.diag(t_bell).real)) <= 1e-14
+    t_dev, cov_dev = bell_certificate(m, block)
+    assert abs(t_dev - dist) <= 1e-12
+    assert cov_dev <= 1e-14
+
+
+def test_bell_certificate_fails_covariant_wrong_test():
+    # the computational basis is mapped onto itself by X and Z, but its
+    # realized test projects onto the diagonal matrices, not onto the target
+    m = RankOnePovm(5, np.ones(5), np.eye(5, dtype=complex))
+    _, dist = _dense_bell(m)
+    t_dev, cov_dev = bell_certificate(m, 5)
+    assert dist == pytest.approx(1.8257, abs=1e-4)
+    assert abs(t_dev - dist) <= 1e-12
+    assert cov_dev <= 1e-14
+
+
+@pytest.mark.parametrize("scale", (1e-8, 1e-4, 1e-1))
+def test_bell_certificate_bounds_dense_distance_when_not_covariant(rng, scale):
+    # perturbed MUB vectors and weights: no longer covariant or complete, so
+    # T has an off-diagonal part on the Bell basis that the bound must cover
+    m = mub_povm(mub_prime(3))
+    v = m.vectors + scale * (rng.standard_normal(m.vectors.shape)
+                             + 1j * rng.standard_normal(m.vectors.shape))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    w = m.weights * (1 + scale * rng.uniform(-1, 1, m.n_elements))
+    perturbed = RankOnePovm(3, w, v, check_completeness=False)
+    _, dist = _dense_bell(perturbed)
+    t_dev, cov_dev = bell_certificate(perturbed, 3)
+    assert cov_dev > scale / 10
+    assert t_dev >= dist
+
+
+@pytest.mark.parametrize("lam_min,ok", [(-10e-10, False), (-0.1e-10, True)])
+@pytest.mark.parametrize("n", (9, 16))
+def test_acceptance_psd_rule_matches_eigvalsh(rng, n, lam_min, ok):
+    rho = state_with_min_eigenvalue(rng, n, lam_min)
+    assert (np.linalg.eigvalsh(rho)[0] >= -1e-10) == ok
+    t = invariant_test_single(3) if n == 9 else invariant_test_double(2)
+    if ok:
+        acceptance_probability(t, rho, tol=1e-10)
+    else:
+        with pytest.raises(ValueError, match="positive semi-definite"):
+            acceptance_probability(t, rho, tol=1e-10)
