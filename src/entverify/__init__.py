@@ -9,10 +9,9 @@ __version__ = "0.1.0"
 
 from .clifford import (CliffordGroup, character_moments, clifford_cardinality,
                        clifford_generators, clifford_povm, enumerate_clifford,
-                       pair_product_count, verify_clifford_group,
-                       verify_clifford_identity, weyl, weyl_group)
-from .linalg import (eigen_hermitian, frobenius_distance, numerical_rank,
-                     vectorize)
+                       verify_clifford_group, verify_clifford_identity, weyl,
+                       weyl_group)
+from .linalg import frobenius_distance, numerical_rank, vectorize
 from .mub import (MubFamily, mub_check, mub_povm, mub_prime, pvm_count_bound,
                   verify_mub_identity)
 from .protocol import (BipartiteState, FidelityPoint, ProtocolTranscript,
@@ -33,11 +32,11 @@ __all__ = [
     "MubFamily", "ProtocolTranscript", "RankOnePovm", "TestOperator",
     "VerificationReport", "acceptance_probability", "analytic_acceptance",
     "character_moments", "clifford_cardinality", "clifford_generators",
-    "clifford_povm", "double_isotropic_state", "eigen_hermitian",
+    "clifford_povm", "double_isotropic_state",
     "enumerate_clifford", "frobenius_distance", "get_fiducial",
     "invariant_test_double", "invariant_test_single", "isotropic_state",
     "known_fiducial", "max_entangled", "mub_check", "mub_povm", "mub_prime",
-    "numerical_rank", "pair_product_count", "permute_subsystems",
+    "numerical_rank", "permute_subsystems",
     "pvm_count_bound", "realized_test", "run_protocol", "search_fiducial",
     "sic_check", "sweep_fidelity", "vectorize", "verify_clifford_group",
     "verify_clifford_identity", "verify_mub_identity", "verify_sic_identity",

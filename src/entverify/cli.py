@@ -22,7 +22,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from . import __version__, clifford, mub, protocol, sic
-from .jsonio import FIDUCIAL_CACHE, cache_dir, dump_json, povm_to_dict
+from .jsonio import FIDUCIAL_CACHE, cache_dir, dump_json, dump_povm
 from .report import Check, VerificationReport
 
 COUNT_MAX_D = 4096
@@ -100,10 +100,10 @@ def _print_report(report: VerificationReport) -> None:
 def cmd_gen(args) -> int:
     scheme = _scheme(args)
     data = scheme.build(args.d, args)
-    doc = povm_to_dict(scheme.povm(data), args.scheme, args.d)
+    fields = {"scheme": args.scheme, "d": args.d}
     if isinstance(data, sic.Fiducial):
-        doc["fiducial_residual"] = data.residual
-    dump_json(doc, args.out)
+        fields["fiducial_residual"] = data.residual
+    dump_povm(scheme.povm(data), args.out, **fields)
     return 0
 
 

@@ -50,11 +50,6 @@ def pair_product_counts(d: int) -> np.ndarray:
     return counts
 
 
-def pair_product_count(n: int, d: int) -> int:
-    """Number of ordered pairs (x, y) in Z_d^2 with x*y = n (mod d)."""
-    return int(pair_product_counts(d)[n % d])
-
-
 def cardinality_from_pair_counts(counts: np.ndarray) -> int:
     """Order of the phase-quotiented Clifford group from the pair counts nu(., d).
 
@@ -179,11 +174,6 @@ class CliffordGroup:
 
     def __len__(self) -> int:
         return self.elements.shape[0]
-
-    def contains(self, u: np.ndarray, atol: float = 1e-8) -> bool:
-        c = canonicalize_phase(u)
-        i = self.index.get(quantized_key(c))
-        return i is not None and np.allclose(self.elements[i], c, atol=atol)
 
 
 def weyl_group(d: int) -> CliffordGroup:

@@ -2,10 +2,19 @@
 
 Complex numbers are stored as [re, im] pairs and matrices as row-major nested
 lists; floats round-trip exactly through json's repr-based encoding.
+
+Reports, transcripts and counts are written with two-space indentation. A POVM
+document keeps that layout for its outer object, but each entry of its
+`elements` array takes one line, `{"weight": w, "vector": [[re, im], ...]}`,
+encoded from the arrays a chunk of rows at a time; the nested list of the
+whole POVM is never built. It parses to the same JSON value as an indented
+dump, with bit-identical floats, in about half the bytes (3.4 MB instead of
+6.3 MB for the Clifford orbit at d = 5).
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import sys
@@ -16,6 +25,10 @@ from .testops import RankOnePovm
 
 CACHE_ENV = "ENTVERIFY_CACHE_DIR"
 FIDUCIAL_CACHE = "fiducial-cache.json"
+# Complex entries encoded per chunk of POVM rows. A chunk's lists and strings
+# live until it is written: 2 ** 16 raised `gen clifford --d 5` peak RSS by 10 MB.
+POVM_CHUNK = 2 ** 12
+ELEMENT_SEP = ",\n    "
 
 
 def cache_dir() -> str:
@@ -69,8 +82,10 @@ def save_cache_entry(path: str, d: int, entry: dict) -> None:
         raise
 
 
-def vector_to_pairs(v: np.ndarray) -> list[list[float]]:
-    return [[z.real, z.imag] for z in np.asarray(v, dtype=complex)]
+def vector_to_pairs(v: np.ndarray) -> list:
+    """[re, im] pairs of a complex array, nested like the array (a vector gives a list of pairs)."""
+    v = np.asarray(v, dtype=complex)
+    return np.stack([v.real, v.imag], -1).tolist()
 
 
 def pairs_to_vector(pairs) -> np.ndarray:
@@ -78,21 +93,6 @@ def pairs_to_vector(pairs) -> np.ndarray:
     if raw.ndim != 2 or raw.shape[1] != 2:
         raise ValueError("expected a list of [re, im] pairs")
     return raw[:, 0] + 1j * raw[:, 1]
-
-
-def povm_to_dict(m: RankOnePovm, scheme: str | None = None, d: int | None = None) -> dict:
-    out = {
-        "schema": 1,
-        "kind": "povm",
-        "dim": m.dim,
-        "elements": [{"weight": float(w), "vector": vector_to_pairs(v)}
-                     for w, v in zip(m.weights, m.vectors)],
-    }
-    if scheme is not None:
-        out["scheme"] = scheme
-    if d is not None:
-        out["d"] = d
-    return out
 
 
 def povm_from_dict(data: dict) -> RankOnePovm:
@@ -104,13 +104,43 @@ def povm_from_dict(data: dict) -> RankOnePovm:
     return RankOnePovm(dim, np.asarray(weights), np.stack(vectors))
 
 
-def dump_json(data: dict, path: str | None = None) -> None:
-    """Write a JSON document to a file, or stdout when no path is given."""
+@contextlib.contextmanager
+def _output(path: str | None):
+    """A text stream on the file at path (its directory made if needed), else stdout."""
     if path:
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         with open(path, "w") as fh:
-            json.dump(data, fh, indent=2)
-            fh.write("\n")
+            yield fh
     else:
-        json.dump(data, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        yield sys.stdout
+
+
+def dump_json(data: dict, path: str | None = None) -> None:
+    """Write a JSON document to a file, or stdout when no path is given."""
+    with _output(path) as fh:
+        json.dump(data, fh, indent=2)
+        fh.write("\n")
+
+
+def dump_povm(m: RankOnePovm, path: str | None = None, **fields) -> None:
+    """Write m as a POVM document, followed by fields, to a file or stdout.
+
+    The keys are schema, kind, dim, elements, then fields in the order given.
+    Each element is one line, encoded by json's C encoder from a chunk of at
+    most POVM_CHUNK complex entries.
+    """
+    rows = max(1, POVM_CHUNK // m.dim)
+    with _output(path) as fh:
+        fh.write('{\n  "schema": 1,\n  "kind": "povm",\n'
+                 f'  "dim": {json.dumps(m.dim)},\n  "elements": [\n    ')
+        for lo in range(0, m.n_elements, rows):
+            if lo:
+                fh.write(ELEMENT_SEP)
+            weights = m.weights[lo:lo + rows].tolist()
+            vectors = vector_to_pairs(m.vectors[lo:lo + rows])
+            fh.write(ELEMENT_SEP.join(json.dumps({"weight": w, "vector": pairs})
+                                      for w, pairs in zip(weights, vectors)))
+        fh.write("\n  ]")
+        for key, value in fields.items():
+            fh.write(f",\n  {json.dumps(key)}: {json.dumps(value)}")
+        fh.write("\n}\n")

@@ -71,13 +71,6 @@ def require_psd(a: np.ndarray, tol: float, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def eigen_hermitian(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (real, descending) and matching eigenvector columns of a Hermitian matrix."""
-    a = require_hermitian(a)
-    vals, vecs = np.linalg.eigh(a)
-    return vals[::-1], vecs[:, ::-1]
-
-
 def numerical_rank(a: np.ndarray, tol: float = RANK_TOL) -> int:
     """Number of eigenvalues of a Hermitian matrix with magnitude above tol."""
     a = require_hermitian(a)

@@ -87,10 +87,6 @@ class TestOperator:
             raise ValueError(f"expected {expected}x{expected} matrix, got {self.matrix.shape}")
         require_hermitian(self.matrix, name="test operator")
 
-    def spectrum_within_unit(self, tol: float = 1e-10) -> bool:
-        vals = np.linalg.eigvalsh(self.matrix)
-        return bool(vals[0] >= -tol and vals[-1] <= 1 + tol)
-
 
 def max_entangled(d: int) -> np.ndarray:
     """Unit vector (1/sqrt(d)) sum_i |i>|i> on a d x d bipartite system."""

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from entverify.linalg import require_hermitian
+
 
 def random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
     z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
@@ -11,6 +13,13 @@ def random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
 def random_hermitian(rng: np.random.Generator, d: int) -> np.ndarray:
     z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     return (z + z.conj().T) / 2
+
+
+def eigen_hermitian(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (real, descending) and matching eigenvector columns of a Hermitian matrix."""
+    a = require_hermitian(a)
+    vals, vecs = np.linalg.eigh(a)
+    return vals[::-1], vecs[:, ::-1]
 
 
 def random_ket(rng: np.random.Generator, d: int) -> np.ndarray:

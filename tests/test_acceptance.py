@@ -14,7 +14,7 @@ import pytest
 
 from entverify.clifford import (character_moments, clifford_cardinality,
                                 clifford_povm, enumerate_clifford,
-                                pair_product_count, weyl_group)
+                                pair_product_counts, weyl_group)
 from entverify.linalg import frobenius_distance, numerical_rank
 from entverify.mub import (mub_povm, mub_prime, projected_span_ranks,
                            pvm_count_bound, verify_mub_identity)
@@ -118,9 +118,10 @@ def test_criterion_06_clifford_cardinality():
         assert sizes[d] == d ** 3 * (d * d - 1)
         assert sizes[d] == clifford_cardinality(d)
     for d in (2, 3, 4, 5):
+        counts = pair_product_counts(d)
         for n in range(d):
             brute = sum(1 for x in range(d) for y in range(d) if (x * y) % d == n)
-            assert pair_product_count(n, d) == brute
+            assert counts[n] == brute
     assert elapsed < 60.0, f"enumeration took {elapsed:.2f}s"
     print(f"[criterion 06] PASS cardinalities {sizes} ({elapsed:.2f}s)")
 

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from entverify.cli import SCHEMES, build_parser, main
-from entverify.jsonio import povm_from_dict, povm_to_dict
+from entverify.jsonio import (dump_povm, pairs_to_vector, povm_from_dict,
+                              vector_to_pairs)
 from entverify.mub import mub_povm, mub_prime
-from entverify.sic import known_fiducial, weyl_orbit
+from entverify.sic import Fiducial, known_fiducial, weyl_orbit
 
 
 @pytest.fixture(autouse=True)
@@ -19,6 +20,22 @@ def run_json(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
     return code, json.loads(out) if out.strip() else None
+
+
+def povm_to_dict(m, scheme=None, d=None):
+    """Reference POVM document: the nested lists built entry by entry."""
+    out = {
+        "schema": 1,
+        "kind": "povm",
+        "dim": m.dim,
+        "elements": [{"weight": float(w), "vector": [[z.real, z.imag] for z in v]}
+                     for w, v in zip(m.weights, m.vectors)],
+    }
+    if scheme is not None:
+        out["scheme"] = scheme
+    if d is not None:
+        out["d"] = d
+    return out
 
 
 def test_gen_sic_d2(capsys):
@@ -58,18 +75,73 @@ def test_gen_out_file(tmp_path, capsys):
     assert len(doc["elements"]) == 6
 
 
-def test_povm_json_roundtrip_exact():
+def test_povm_json_roundtrip_exact(tmp_path):
     m = weyl_orbit(known_fiducial(2))
-    doc = json.loads(json.dumps(povm_to_dict(m, "sic", 2)))
-    m2 = povm_from_dict(doc)
+    path = tmp_path / "povm.json"
+    dump_povm(m, str(path), scheme="sic", d=2)
+    m2 = povm_from_dict(json.loads(path.read_text()))
     assert np.array_equal(m.vectors, m2.vectors)
     assert np.array_equal(m.weights, m2.weights)
 
 
-def test_povm_json_roundtrip_mub():
+def test_povm_json_roundtrip_mub(tmp_path):
     m = mub_povm(mub_prime(3))
-    m2 = povm_from_dict(json.loads(json.dumps(povm_to_dict(m))))
+    path = tmp_path / "povm.json"
+    dump_povm(m, str(path))
+    m2 = povm_from_dict(json.loads(path.read_text()))
     assert np.array_equal(m.vectors, m2.vectors)
+
+
+@pytest.mark.parametrize("scheme,d", [("sic", 2), ("sic", 4), ("mub", 5),
+                                      ("clifford", 2), ("clifford", 3), ("clifford", 5)])
+def test_gen_document_equals_reference(scheme, d, capsys):
+    argv = ["gen", scheme, "--d", str(d), "--no-cache"]
+    data = SCHEMES[scheme].build(d, build_parser().parse_args(argv))
+    ref = povm_to_dict(SCHEMES[scheme].povm(data), scheme, d)
+    if isinstance(data, Fiducial):
+        ref["fiducial_residual"] = data.residual
+    assert ("fiducial_residual" in ref) == (scheme == "sic")
+    code, doc = run_json(capsys, argv)
+    assert code == 0
+    expected = json.loads(json.dumps(ref))
+    assert doc == expected
+    # same key order and the same repr of every float (== alone equates -0.0 and 0.0)
+    assert json.dumps(doc) == json.dumps(expected)
+
+
+@pytest.mark.parametrize("scheme,d,n", [("sic", 2, 4), ("clifford", 3, 216)])
+def test_gen_writes_one_line_per_element(scheme, d, n, capsys):
+    assert main(["gen", scheme, "--d", str(d)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    start = lines.index('  "elements": [')
+    assert lines[start + n + 1] == "  ],"
+    for line in lines[start + 1:start + n + 1]:
+        assert line.startswith('    {"weight": ')
+        assert set(json.loads(line.rstrip(","))) == {"weight", "vector"}
+
+
+@pytest.mark.parametrize("argv", [["gen", "sic", "--d", "4", "--seed", "2"],
+                                  ["gen", "clifford", "--d", "2"]])
+def test_gen_stdout_and_out_file_are_the_same_bytes(argv, tmp_path, capsys):
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out
+    out = tmp_path / "povm.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert out.read_bytes() == stdout.encode()
+
+
+def test_vector_to_pairs_matches_entrywise_reference(rng):
+    v = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+    v[:4] = [-0.0, complex(0.0, -0.0), 5e-324 - 1e308j, 1e-300 + 1j]
+    ref = [[z.real, z.imag] for z in v]
+    # json.dumps compares the repr of each float, so -0.0 and 0.0 differ
+    assert json.dumps(vector_to_pairs(v)) == json.dumps(ref)
+    rows = [ref[i:i + 8] for i in range(0, 64, 8)]
+    assert json.dumps(vector_to_pairs(v.reshape(8, 8))) == json.dumps(rows)
+    # a cached vector reads back as before, bit for bit where no zero has a sign
+    assert pairs_to_vector(vector_to_pairs(v)).tobytes() == pairs_to_vector(ref).tobytes()
+    w = v[4:]
+    assert pairs_to_vector(vector_to_pairs(w)).tobytes() == w.tobytes()
 
 
 def test_verify_sic_d3(capsys):

@@ -5,9 +5,8 @@ from entverify.clifford import (CliffordGroup, all_weyl, canonicalize_phase,
                                 character_moments, clifford_cardinality,
                                 clifford_generators, clifford_povm,
                                 enumerate_clifford, is_prime,
-                                normalizes_weyl_group, pair_product_count,
-                                pair_product_counts, quantized_key,
-                                verify_clifford_group,
+                                normalizes_weyl_group, pair_product_counts,
+                                quantized_key, verify_clifford_group,
                                 verify_clifford_identity, weyl,
                                 weyl_coefficients, weyl_group)
 from entverify.linalg import frobenius_distance
@@ -16,6 +15,13 @@ from entverify.testops import invariant_test_double, realized_test
 
 def brute_force_pair_count(n, d):
     return sum(1 for x in range(d) for y in range(d) if (x * y) % d == n % d)
+
+
+def group_contains(group, u, atol=1e-8):
+    """Whether u equals, up to phase, an element of the group (found by its hash key)."""
+    c = canonicalize_phase(u)
+    i = group.index.get(quantized_key(c))
+    return i is not None and np.allclose(group.elements[i], c, atol=atol)
 
 
 def reference_cardinality(d):
@@ -64,22 +70,23 @@ def test_weyl_unitary():
 
 
 def test_pair_count_small_cases():
-    assert pair_product_count(0, 2) == 3  # (0,0),(0,1),(1,0)
-    assert pair_product_count(1, 2) == 1  # (1,1)
+    assert pair_product_counts(2).tolist() == [3, 1]  # (0,0),(0,1),(1,0); (1,1)
 
 
 @pytest.mark.parametrize("d", (2, 3, 4, 5, 6, 7, 8))
 def test_pair_count_matches_brute_force(d):
+    counts = pair_product_counts(d)
     for n in range(d):
-        assert pair_product_count(n, d) == brute_force_pair_count(n, d)
+        assert counts[n] == brute_force_pair_count(n, d)
 
 
 @pytest.mark.parametrize("d", (3, 5, 7))
 def test_pair_count_prime_closed_form(d):
     # x=0 or y=0 gives 2d-1 pairs for n=0; for n!=0, x is any unit, y fixed
-    assert pair_product_count(0, d) == 2 * d - 1
+    counts = pair_product_counts(d)
+    assert counts[0] == 2 * d - 1
     for n in range(1, d):
-        assert pair_product_count(n, d) == d - 1
+        assert counts[n] == d - 1
 
 
 def test_cardinality_values():
@@ -177,7 +184,7 @@ def test_enumeration_closure_random_products(rng):
         for _ in range(200):
             u = group.elements[rng.integers(n)]
             v = group.elements[rng.integers(n)]
-            assert group.contains(u @ v)
+            assert group_contains(group, u @ v)
 
 
 def test_enumeration_elements_normalize_weyl():

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
-from conftest import random_ket, state_with_min_eigenvalue
+from conftest import eigen_hermitian, random_ket, state_with_min_eigenvalue
 
 from entverify.clifford import all_weyl, clifford_povm, enumerate_clifford
-from entverify.linalg import (eigen_hermitian, frobenius_distance,
-                              numerical_rank)
+from entverify.linalg import frobenius_distance, numerical_rank
 from entverify.mub import mub_povm, mub_prime
 from entverify.sic import (FiducialSearchConfig, known_fiducial,
                            search_fiducial, weyl_orbit)
@@ -17,6 +16,11 @@ from entverify.testops import (CompletenessError, RankOnePovm,
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
+
+
+def spectrum_within_unit(op, tol: float) -> bool:
+    vals = np.linalg.eigvalsh(op.matrix)
+    return bool(vals[0] >= -tol and vals[-1] <= 1 + tol)
 
 
 def test_max_entangled_d2():
@@ -60,7 +64,7 @@ def test_invariant_single_top_eigenvector():
 @pytest.mark.parametrize("d", range(2, 7))
 def test_invariant_single_psd_bounded_and_rank(d):
     op = invariant_test_single(d)
-    assert op.spectrum_within_unit(1e-10)
+    assert spectrum_within_unit(op, 1e-10)
     assert numerical_rank(op.matrix) == d * d
 
 
@@ -76,7 +80,7 @@ def test_invariant_double_spectrum_d2():
 def test_invariant_double_trace_and_bounds(d):
     op = invariant_test_double(d)
     assert abs(np.trace(op.matrix).real - d * d) < 1e-9
-    assert op.spectrum_within_unit(1e-10)
+    assert spectrum_within_unit(op, 1e-10)
 
 
 @pytest.mark.parametrize("d", (2, 3))
