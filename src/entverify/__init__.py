@@ -9,14 +9,12 @@ __version__ = "0.1.0"
 
 from .clifford import (CliffordGroup, character_moments, clifford_cardinality,
                        clifford_generators, clifford_povm, enumerate_clifford,
-                       verify_clifford_group, verify_clifford_identity, weyl,
-                       weyl_group)
+                       verify_clifford_group, verify_clifford_identity, weyl)
 from .linalg import frobenius_distance, numerical_rank, vectorize
 from .mub import (MubFamily, mub_check, mub_povm, mub_prime, pvm_count_bound,
                   verify_mub_identity)
-from .protocol import (BipartiteState, FidelityPoint, ProtocolTranscript,
-                       analytic_acceptance, double_isotropic_state,
-                       isotropic_state, run_protocol, sweep_fidelity)
+from .protocol import (BipartiteState, ProtocolTranscript,
+                       double_isotropic_state, isotropic_state, run_protocol)
 from .report import Check, VerificationReport
 from .sic import (Fiducial, FiducialSearchConfig, FiducialSearchError,
                   get_fiducial, known_fiducial, search_fiducial, sic_check,
@@ -28,9 +26,9 @@ from .testops import (CompletenessError, RankOnePovm, TestOperator,
 
 __all__ = [
     "BipartiteState", "Check", "CliffordGroup", "CompletenessError",
-    "Fiducial", "FiducialSearchConfig", "FiducialSearchError", "FidelityPoint",
+    "Fiducial", "FiducialSearchConfig", "FiducialSearchError",
     "MubFamily", "ProtocolTranscript", "RankOnePovm", "TestOperator",
-    "VerificationReport", "acceptance_probability", "analytic_acceptance",
+    "VerificationReport", "acceptance_probability",
     "character_moments", "clifford_cardinality", "clifford_generators",
     "clifford_povm", "double_isotropic_state",
     "enumerate_clifford", "frobenius_distance", "get_fiducial",
@@ -38,7 +36,7 @@ __all__ = [
     "known_fiducial", "max_entangled", "mub_check", "mub_povm", "mub_prime",
     "numerical_rank", "permute_subsystems",
     "pvm_count_bound", "realized_test", "run_protocol", "search_fiducial",
-    "sic_check", "sweep_fidelity", "vectorize", "verify_clifford_group",
+    "sic_check", "vectorize", "verify_clifford_group",
     "verify_clifford_identity", "verify_mub_identity", "verify_sic_identity",
-    "weyl", "weyl_group", "weyl_orbit",
+    "weyl", "weyl_orbit",
 ]

@@ -5,6 +5,8 @@ Supported d, from the SCHEMES table and the same for gen, verify and simulate:
   mub       prime d <= 64
   clifford  d in (2, 3, 5); verify checks the identity at d = 2, 3, the group at 5
 `verify --tol` overrides every nonzero check tolerance, for every scheme.
+A sic fiducial at d >= 4 is searched (seeded by --seed) and certified on
+every run; nothing is stored between runs.
 
 Exit codes: 0 success, 1 verification or consistency failure, 2 usage error,
 3 fiducial search failure, 4 I/O error (a file that cannot be written or read).
@@ -15,14 +17,13 @@ Exit codes: 0 success, 1 verification or consistency failure, 2 usage error,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from collections.abc import Callable
 from dataclasses import dataclass
 
 from . import __version__, clifford, mub, protocol, sic
-from .jsonio import FIDUCIAL_CACHE, cache_dir, dump_json, dump_povm
+from .jsonio import dump_json, dump_povm
 from .report import Check, VerificationReport
 
 COUNT_MAX_D = 4096
@@ -53,8 +54,7 @@ def _fiducial(d: int, args) -> sic.Fiducial:
                                        tol=args.search_tol)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    cache = None if args.no_cache else os.path.join(cache_dir(), FIDUCIAL_CACHE)
-    return sic.get_fiducial(d, cfg, cache_path=cache)
+    return sic.get_fiducial(d, cfg)
 
 
 def _certify_clifford(d: int, group: clifford.CliffordGroup) -> VerificationReport:
@@ -187,7 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--restarts", type=int, default=50, help="fiducial search restarts")
         p.add_argument("--search-tol", type=float, default=1e-8,
                        help="fiducial search residual target")
-        p.add_argument("--no-cache", action="store_true", help="skip the fiducial cache")
 
     p_gen = sub.add_parser("gen", help="generate a scheme POVM as JSON")
     common(p_gen)

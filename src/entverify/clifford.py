@@ -176,11 +176,6 @@ class CliffordGroup:
         return self.elements.shape[0]
 
 
-def weyl_group(d: int) -> CliffordGroup:
-    """The d^2 canonicalized Weyl operators as a group (negative-control subgroup)."""
-    return CliffordGroup(d, canonicalize_phase(all_weyl(d)))
-
-
 def enumerate_clifford(d: int, size_cap: int = DEFAULT_SIZE_CAP) -> CliffordGroup:
     """Breadth-first closure of the canonicalized generator products.
 

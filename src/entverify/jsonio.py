@@ -23,63 +23,10 @@ import numpy as np
 
 from .testops import RankOnePovm
 
-CACHE_ENV = "ENTVERIFY_CACHE_DIR"
-FIDUCIAL_CACHE = "fiducial-cache.json"
 # Complex entries encoded per chunk of POVM rows. A chunk's lists and strings
 # live until it is written: 2 ** 16 raised `gen clifford --d 5` peak RSS by 10 MB.
 POVM_CHUNK = 2 ** 12
 ELEMENT_SEP = ",\n    "
-
-
-def cache_dir() -> str:
-    env = os.environ.get(CACHE_ENV)
-    if env:
-        return env
-    return os.path.join(os.path.expanduser("~"), ".cache", "entverify")
-
-
-def load_cache_entry(path: str, d: int, parse):
-    """parse(d, entry) for the cache entry of dimension d; None on a miss.
-
-    An unreadable file, or an entry that parse rejects by raising, is a miss
-    as well and is reported by one warning line on stderr.
-    """
-    if not os.path.exists(path):
-        return None
-    try:
-        with open(path) as fh:
-            entry = json.load(fh)["entries"].get(str(d))
-        return None if entry is None else parse(d, entry)
-    except (OSError, ValueError, LookupError, TypeError, AttributeError) as exc:
-        print(f"warning: ignoring cache entry d={d} in {path}: {exc}", file=sys.stderr)
-        return None
-
-
-def save_cache_entry(path: str, d: int, entry: dict) -> None:
-    """Write (or replace) the entry for dimension d, keeping the other entries.
-
-    The file is replaced atomically, so an interrupted write leaves the old
-    cache in place; an unreadable old cache is started afresh.
-    """
-    store = {"schema": 1, "entries": {}}
-    try:
-        with open(path) as fh:
-            old = json.load(fh)
-        if isinstance(old, dict) and isinstance(old.get("entries"), dict):
-            store = old
-    except (OSError, ValueError):
-        pass
-    store["entries"][str(d)] = entry
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w") as fh:
-            json.dump(store, fh)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def vector_to_pairs(v: np.ndarray) -> list:
@@ -89,10 +36,14 @@ def vector_to_pairs(v: np.ndarray) -> list:
 
 
 def pairs_to_vector(pairs) -> np.ndarray:
+    """Complex vector of a list of [re, im] pairs, bit for bit (signed zeros included)."""
     raw = np.asarray(pairs, dtype=float)
     if raw.ndim != 2 or raw.shape[1] != 2:
         raise ValueError("expected a list of [re, im] pairs")
-    return raw[:, 0] + 1j * raw[:, 1]
+    # re + 1j * im would turn a real part of -0.0 into +0.0
+    v = np.empty(len(raw), dtype=complex)
+    v.real, v.imag = raw[:, 0], raw[:, 1]
+    return v
 
 
 def povm_from_dict(data: dict) -> RankOnePovm:

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import require_finite, require_hermitian, require_psd
-from .testops import (RankOnePovm, TestOperator, acceptance_probability,
-                      max_entangled, paired_vectors, permute_subsystems)
+from .testops import (RankOnePovm, max_entangled, paired_vectors,
+                      permute_subsystems)
 
 ZERO_OUTCOME_TOL = 1e-15
 MARGINAL_TOL = 1e-9
@@ -78,14 +78,6 @@ class ProtocolTranscript:
         }
 
 
-@dataclass(eq=False)
-class FidelityPoint:
-    fidelity: float
-    analytic: float
-    estimate: float
-    stderr: float
-
-
 def isotropic_state(d: int, fidelity: float) -> BipartiteState:
     """Maximally entangled state mixed with isotropic noise at the given fidelity."""
     if not 0 <= fidelity <= 1:
@@ -102,13 +94,6 @@ def double_isotropic_state(d: int, fidelity: float) -> BipartiteState:
     prod = np.kron(rho1, rho1)
     rho = permute_subsystems(prod, [d, d, d, d], [0, 2, 1, 3])
     return BipartiteState(d, rho, "double")
-
-
-def analytic_acceptance(t: TestOperator, s: BipartiteState) -> float:
-    """Exact acceptance probability Tr(T rho)."""
-    if (t.local_dim, t.party_structure) != (s.local_dim, s.party_structure):
-        raise ValueError("test and state live on different systems")
-    return acceptance_probability(t, s.rho)
 
 
 def outcome_distribution(m: RankOnePovm, s: BipartiteState) -> tuple[np.ndarray, np.ndarray]:
@@ -161,16 +146,3 @@ def run_protocol(m: RankOnePovm, s: BipartiteState, shots: int, seed: int) -> Pr
     counts[support] = rng.multinomial(shots, q[support] / q[support].sum())
     n_accept = int(rng.binomial(counts, accept).sum())
     return ProtocolTranscript(shots, seed, counts, n_accept, n_accept / shots, analytic)
-
-
-def sweep_fidelity(m: RankOnePovm, d: int, grid: list[float], shots: int,
-                   seed: int) -> list[FidelityPoint]:
-    """Monte Carlo acceptance across a fidelity grid, one derived seed per row."""
-    if m.dim != d:
-        raise ValueError("sweep expects a single-system POVM on dimension d")
-    rows = []
-    for idx, fid in enumerate(grid):
-        child = int(np.random.SeedSequence([seed, idx]).generate_state(1, np.uint64)[0])
-        t = run_protocol(m, isotropic_state(d, fid), shots, child)
-        rows.append(FidelityPoint(float(fid), t.analytic, t.estimate, t.stderr))
-    return rows

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from entverify.clifford import CliffordGroup, all_weyl, canonicalize_phase
 from entverify.linalg import require_hermitian
+from entverify.testops import acceptance_probability
 
 
 def random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -34,6 +36,18 @@ def state_with_min_eigenvalue(rng: np.random.Generator, n: int, lam_min: float) 
     u = random_unitary(rng, n)
     rho = (u * vals) @ u.conj().T
     return (rho + rho.conj().T) / 2
+
+
+def weyl_group(d: int) -> CliffordGroup:
+    """The d^2 canonicalized Weyl operators as a group (negative-control subgroup)."""
+    return CliffordGroup(d, canonicalize_phase(all_weyl(d)))
+
+
+def analytic_acceptance(t, s) -> float:
+    """Exact acceptance probability Tr(T rho) of a test on a BipartiteState."""
+    if (t.local_dim, t.party_structure) != (s.local_dim, s.party_structure):
+        raise ValueError("test and state live on different systems")
+    return acceptance_probability(t, s.rho)
 
 
 @pytest.fixture

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import weyl_group
 
 from entverify.clifford import (CliffordGroup, all_weyl, canonicalize_phase,
                                 character_moments, clifford_cardinality,
@@ -8,7 +9,7 @@ from entverify.clifford import (CliffordGroup, all_weyl, canonicalize_phase,
                                 normalizes_weyl_group, pair_product_counts,
                                 quantized_key, verify_clifford_group,
                                 verify_clifford_identity, weyl,
-                                weyl_coefficients, weyl_group)
+                                weyl_coefficients)
 from entverify.linalg import frobenius_distance
 from entverify.testops import invariant_test_double, realized_test
 

@@ -2,14 +2,14 @@ import time
 
 import numpy as np
 import pytest
-from conftest import random_unitary, state_with_min_eigenvalue
+from conftest import (analytic_acceptance, random_unitary,
+                      state_with_min_eigenvalue, weyl_group)
 
-from entverify.clifford import clifford_povm, enumerate_clifford, weyl_group
+from entverify.clifford import clifford_povm, enumerate_clifford
 from entverify.mub import mub_povm, mub_prime
 from entverify.protocol import (MAX_SHOTS, BipartiteState,
-                                analytic_acceptance, double_isotropic_state,
-                                isotropic_state, outcome_distribution,
-                                run_protocol, sweep_fidelity)
+                                double_isotropic_state, isotropic_state,
+                                outcome_distribution, run_protocol)
 from entverify.sic import known_fiducial, weyl_orbit
 from entverify.testops import (RankOnePovm, acceptance_probability,
                                invariant_test_double, invariant_test_single,
@@ -168,16 +168,6 @@ def test_run_protocol_rejects_dim_mismatch():
     m = mub_povm(mub_prime(2))
     with pytest.raises(ValueError):
         run_protocol(m, isotropic_state(3, 0.5), 100, 0)
-
-
-def test_sweep_analytic_column():
-    m = mub_povm(mub_prime(2))
-    rows = sweep_fidelity(m, 2, [0.0, 0.5, 1.0], 20000, 5)
-    assert np.allclose([r.analytic for r in rows], [1 / 3, 2 / 3, 1.0])
-    analytic = [r.analytic for r in rows]
-    assert analytic == sorted(analytic)
-    for r in rows:
-        assert abs(r.estimate - r.analytic) <= 3 * r.stderr + 1e-12
 
 
 def test_state_validation():

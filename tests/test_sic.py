@@ -1,13 +1,18 @@
-import json
-
 import numpy as np
 import pytest
 
+from entverify import sic
+from entverify.clifford import all_weyl
 from entverify.sic import (Fiducial, FiducialSearchConfig, FiducialSearchError,
-                           get_fiducial, known_fiducial, load_fiducial_cache,
-                           orbit_residual, save_fiducial_cache, search_fiducial,
+                           _residual, _residual_gradient, get_fiducial,
+                           known_fiducial, orbit_residual, search_fiducial,
                            sic_check, verify_sic_identity, weyl_orbit)
-from entverify.testops import RankOnePovm
+from entverify.testops import RankOnePovm, fourier_matrix
+
+# weyl_overlaps calls made by the searches at d = 4..12, seeds 0..15 (one per
+# residual evaluation, plus one orbit_residual per restart): 23 675 measured.
+# A finite-difference gradient (4d evaluations per step) makes 754 070.
+SEARCH_EVALUATIONS_BOUND = 50_000
 
 
 @pytest.mark.parametrize("d,overlap", [(2, 1 / 3), (3, 1 / 4)])
@@ -101,7 +106,7 @@ def test_search_higher_dims(d):
 
 
 def test_search_unreachable_tol_raises():
-    cfg = FiducialSearchConfig(seed=0, restarts=2, max_iters=3, tol=1e-30)
+    cfg = FiducialSearchConfig(seed=0, restarts=2, tol=1e-30)
     with pytest.raises(FiducialSearchError) as exc:
         search_fiducial(5, cfg)
     assert exc.value.best_residual > 0
@@ -125,35 +130,8 @@ def test_verify_identity_searched_d4():
     assert report.check("count_vs_rank_dev").measured == 0
 
 
-def test_fiducial_cache_roundtrip(tmp_path):
-    path = str(tmp_path / "fiducial-cache.json")
-    f = search_fiducial(4, FiducialSearchConfig(seed=3, restarts=20))
-    save_fiducial_cache(f, path, seed=3)
-    loaded = load_fiducial_cache(4, path)
-    assert loaded is not None
-    assert np.array_equal(loaded.vector, f.vector)
-    assert loaded.residual == pytest.approx(f.residual, abs=1e-15)
-    assert load_fiducial_cache(5, path) is None
-
-
-def test_fiducial_cache_malformed_vector_is_a_miss(tmp_path, capsys):
-    path = tmp_path / "fiducial-cache.json"
-    path.write_text(json.dumps({"schema": 1, "entries": {
-        "4": {"d": 4, "vector": [1, 2, 3, 4], "residual": 0.0}}}))
-    assert load_fiducial_cache(4, str(path)) is None
-    assert capsys.readouterr().err.count("warning:") == 1
-
-
-def test_get_fiducial_uses_cache(tmp_path):
-    path = str(tmp_path / "fiducial-cache.json")
-    cfg = FiducialSearchConfig(seed=5, restarts=30)
-    f1 = get_fiducial(4, cfg, cache_path=path)
-    f2 = get_fiducial(4, cfg, cache_path=path)  # cache hit, no new search
-    assert np.array_equal(f1.vector, f2.vector)
-
-
-def test_get_fiducial_analytic_short_circuit(tmp_path):
-    f = get_fiducial(2, cache_path=str(tmp_path / "fiducial-cache.json"))
+def test_get_fiducial_analytic_short_circuit():
+    f = get_fiducial(2)
     assert f.residual < 1e-12
 
 
@@ -161,3 +139,45 @@ def test_orbit_residual_random_vector_is_large(rng):
     v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     v /= np.linalg.norm(v)
     assert orbit_residual(4, v) > 1e-3
+
+
+@pytest.mark.parametrize("d", (2, 3, 4, 7, 12))
+def test_orbit_and_residual_match_dense_reference(d, rng):
+    # references: the d^2 x d x d stack of Weyl operators
+    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    v /= np.linalg.norm(v)
+    ref = np.einsum("kab,b->ka", all_weyl(d), v)
+    assert np.max(np.abs(weyl_orbit(Fiducial(d, v, 0.0)).vectors - ref)) <= 1e-15
+    sq = np.abs(ref[1:] @ v.conj()) ** 2
+    assert abs(orbit_residual(d, v) - np.max(np.abs(sq - 1 / (d + 1)))) <= 1e-15
+    x = 3 * np.concatenate([v.real, v.imag])   # the residual ignores the norm
+    assert abs(_residual(x, fourier_matrix(d))[0] - np.sum((sq - 1 / (d + 1)) ** 2)) <= 1e-14
+
+
+@pytest.mark.parametrize("d", (4, 7, 12))
+def test_residual_gradient_matches_central_differences(d, rng):
+    dft = fourier_matrix(d)
+    x = rng.standard_normal(2 * d)
+    g = _residual_gradient(x, _residual(x, dft)[1], dft)
+    h = 1e-6
+    fd = np.array([(_residual(x + h * e, dft)[0] - _residual(x - h * e, dft)[0]) / (2 * h)
+                   for e in np.eye(2 * d)])
+    assert np.max(np.abs(g - fd)) <= 1e-8
+
+
+def test_search_certifies_every_seed_with_bounded_evaluations(monkeypatch):
+    calls = 0
+    overlaps = sic.weyl_overlaps
+
+    def counted(u, dft):
+        nonlocal calls
+        calls += 1
+        return overlaps(u, dft)
+
+    monkeypatch.setattr(sic, "weyl_overlaps", counted)
+    for d in range(4, 13):
+        for seed in range(16):
+            f = search_fiducial(d, FiducialSearchConfig(seed=seed))
+            assert f.residual <= 1e-12, (d, seed)
+            assert verify_sic_identity(d, f).overall, (d, seed)
+    assert calls <= SEARCH_EVALUATIONS_BOUND
