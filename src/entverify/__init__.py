@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 from .clifford import (CliffordGroup, character_moments, clifford_cardinality,
                        clifford_generators, clifford_povm, enumerate_clifford,
                        verify_clifford_group, verify_clifford_identity, weyl)
-from .linalg import frobenius_distance, numerical_rank, vectorize
+from .linalg import frobenius_distance, numerical_rank
 from .mub import (MubFamily, mub_check, mub_povm, mub_prime, pvm_count_bound,
                   verify_mub_identity)
 from .protocol import (BipartiteState, ProtocolTranscript,
@@ -36,7 +36,7 @@ __all__ = [
     "known_fiducial", "max_entangled", "mub_check", "mub_povm", "mub_prime",
     "numerical_rank", "permute_subsystems",
     "pvm_count_bound", "realized_test", "run_protocol", "search_fiducial",
-    "sic_check", "vectorize", "verify_clifford_group",
+    "sic_check", "verify_clifford_group",
     "verify_clifford_identity", "verify_mub_identity", "verify_sic_identity",
     "weyl", "weyl_orbit",
 ]

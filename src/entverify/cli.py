@@ -17,6 +17,7 @@ Exit codes: 0 success, 1 verification or consistency failure, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from collections.abc import Callable
@@ -48,13 +49,11 @@ class Scheme:
         return 2 <= d <= self.max_d and (not self.prime or clifford.is_prime(d))
 
 
-def _fiducial(d: int, args) -> sic.Fiducial:
+def _search_config(args) -> sic.FiducialSearchConfig:
     try:
-        cfg = sic.FiducialSearchConfig(seed=args.seed, restarts=args.restarts,
-                                       tol=args.search_tol)
+        return sic.FiducialSearchConfig(args.seed, args.restarts, args.search_tol)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    return sic.get_fiducial(d, cfg)
 
 
 def _certify_clifford(d: int, group: clifford.CliffordGroup) -> VerificationReport:
@@ -64,8 +63,8 @@ def _certify_clifford(d: int, group: clifford.CliffordGroup) -> VerificationRepo
 
 
 SCHEMES = {
-    "sic": Scheme(12, False, _fiducial, sic.weyl_orbit, sic.verify_sic_identity,
-                  protocol.isotropic_state),
+    "sic": Scheme(12, False, lambda d, args: sic.get_fiducial(d, _search_config(args)),
+                  sic.weyl_orbit, sic.verify_sic_identity, protocol.isotropic_state),
     "mub": Scheme(64, True, lambda d, args: mub.mub_prime(d), mub.mub_povm,
                   mub.verify_mub_identity, protocol.isotropic_state),
     "clifford": Scheme(5, True, lambda d, args: clifford.enumerate_clifford(d),
@@ -75,7 +74,8 @@ SCHEMES = {
 
 
 def _scheme(args) -> Scheme:
-    """The record of args.scheme; an unsupported args.d is a usage error."""
+    """The record of args.scheme; a bad d or search option is a usage error, for every scheme."""
+    _search_config(args)
     scheme = SCHEMES[args.scheme]
     if not scheme.supports(args.d):
         limit = f"{'prime d' if scheme.prime else '2 <= d'} <= {scheme.max_d}"
@@ -109,6 +109,8 @@ def cmd_gen(args) -> int:
 
 def cmd_verify(args) -> int:
     scheme = _scheme(args)
+    if args.tol is not None and not 0 <= args.tol < math.inf:
+        raise UsageError(f"tol must be non-negative and finite, got {args.tol}")
     report = scheme.certify(args.d, scheme.build(args.d, args))
     if args.tol is not None:
         # exact integer checks keep tolerance 0; every other check takes --tol
@@ -128,8 +130,6 @@ def cmd_simulate(args) -> int:
         raise UsageError(f"fidelity must lie in [0, 1], got {args.fidelity}")
     if not 1 <= args.shots <= protocol.MAX_SHOTS:
         raise UsageError(f"shots must lie in [1, {protocol.MAX_SHOTS}], got {args.shots}")
-    if args.seed < 0:
-        raise UsageError(f"seed must be non-negative, got {args.seed}")
     scheme = _scheme(args)
     povm = scheme.povm(scheme.build(d, args))
     state = scheme.state(d, args.fidelity)

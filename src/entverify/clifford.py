@@ -3,24 +3,25 @@
 The Clifford group is enumerated as phase-canonicalized unitaries closed
 under multiplication (breadth-first closure over a generating set), so every
 structural claim about it is checked by direct matrix arithmetic rather than
-symplectic bookkeeping.
+symplectic bookkeeping. The Weyl normalizer test checks the images of X and Z.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import frobenius_distance
 from .report import Check, VerificationReport
-from .testops import RankOnePovm, invariant_test_double, realized_test
+from .testops import (RankOnePovm, fourier_matrix, invariant_test_double,
+                      realized_test, weyl_traces)
 
 UNITARY_TOL = 1e-10
 NORMALIZER_TOL = 1e-10
 PIVOT_TIE_TOL = 1e-9
 HASH_GRID = 1e-6
-DEFAULT_SIZE_CAP = 10000
+SIZE_CAP = 10000
 IDENTITY_DS = (2, 3)  # d at which the d^4 x d^4 two-pair identity is certified
 
 
@@ -31,11 +32,6 @@ def weyl(d: int, i: int, j: int) -> np.ndarray:
     m = np.zeros((d, d), dtype=complex)
     m[(k + i) % d, k] = np.exp(2j * np.pi * ((j * k) % d) / d)
     return m
-
-
-def all_weyl(d: int) -> np.ndarray:
-    """All d^2 Weyl operators stacked in row-major label order (i, j)."""
-    return np.stack([weyl(d, i, j) for i in range(d) for j in range(d)])
 
 
 def pair_product_counts(d: int) -> np.ndarray:
@@ -78,16 +74,16 @@ def is_prime(d: int) -> bool:
     return all(d % k for k in range(2, int(d ** 0.5) + 1))
 
 
-def canonicalize_phase(u: np.ndarray, tie_tol: float = PIVOT_TIE_TOL) -> np.ndarray:
+def canonicalize_phase(u: np.ndarray) -> np.ndarray:
     """Fix the global phase of a matrix, or of each matrix in a stack [..., d, d].
 
-    The first entry of largest magnitude (within tie_tol) becomes real positive.
+    The first entry of largest magnitude (within PIVOT_TIE_TOL) becomes real positive.
     Idempotent: applying twice returns the same matrices.
     """
     u = np.asarray(u, dtype=complex)
     flat = u.reshape(-1, u.shape[-2] * u.shape[-1])
     mags = np.abs(flat)
-    pivot = np.argmax(mags >= mags.max(axis=1, keepdims=True) - tie_tol, axis=1)
+    pivot = np.argmax(mags >= mags.max(axis=1, keepdims=True) - PIVOT_TIE_TOL, axis=1)
     z = flat[np.arange(len(flat)), pivot]
     rows = np.flatnonzero((z.imag != 0) | (z.real <= 0))
     if not len(rows):
@@ -100,41 +96,36 @@ def canonicalize_phase(u: np.ndarray, tie_tol: float = PIVOT_TIE_TOL) -> np.ndar
     return out.reshape(u.shape)
 
 
-def quantized_key(u: np.ndarray, grid: float = HASH_GRID) -> bytes | list[bytes]:
-    """Hash key from entries quantized to a fixed grid (stable across tiny fp noise).
+def quantized_key(u: np.ndarray) -> bytes | list[bytes]:
+    """Hash key from entries quantized to the HASH_GRID (stable across tiny fp noise).
 
     One key for a matrix [d, d], a list of keys for a stack [..., d, d] in row-major order.
     """
     u = np.asarray(u)
     flat = u.reshape(-1, u.shape[-2] * u.shape[-1])
-    grid_points = np.rint(np.concatenate([flat.real, flat.imag], axis=1) / grid)
+    grid_points = np.rint(np.concatenate([flat.real, flat.imag], axis=1) / HASH_GRID)
     keys = [row.tobytes() for row in grid_points.astype(np.int64)]
     return keys[0] if u.ndim == 2 else keys
 
 
-def weyl_coefficients(us: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Coefficients Tr(W_l^dag U W_k U^dag) / d, indexed [n, k, l], for a stack of unitaries.
+def normalizes_weyl_group(u: np.ndarray) -> np.ndarray:
+    """Whether U W U^dag is a phase times a Weyl operator for every Weyl W.
 
-    U W_k for every label k is one product against the Weyl operators w
-    (all_weyl(d)) laid side by side, the right factor U^dag one batched
-    product per unitary, and the overlaps with every W_l a second product.
+    One verdict for a unitary [d, d], one per unitary for a stack [..., d, d].
+    It is enough to test W = X and Z, whose products give every X^a Z^b; a
+    unitary image V is a phase times a Weyl operator when max_k |Tr(V W_k)| = d.
     """
-    b, d = us.shape[0], us.shape[1]
-    k = w.shape[0]
-    uw = us.reshape(b * d, d) @ w.transpose(1, 0, 2).reshape(d, k * d)  # [(n, i), (k, m)]
-    conj = uw.reshape(b, d * k, d) @ us.conj().transpose(0, 2, 1)
-    conj = conj.reshape(b, d, k, d).transpose(0, 2, 1, 3)  # [n, k, i, j]
-    return (conj.reshape(b * k, d * d) @ w.reshape(k, d * d).conj().T).reshape(b, k, k) / d
+    u = np.asarray(u, dtype=complex)
+    d = u.shape[-1]
+    xz = np.stack([weyl(d, 1, 0), weyl(d, 0, 1)])
+    images = u[..., None, :, :] @ xz @ np.swapaxes(u, -1, -2).conj()[..., None, :, :]
+    traces = weyl_traces(images.reshape(-1, d, d), fourier_matrix(d))
+    peak = np.abs(traces).reshape(*u.shape[:-2], 2, d * d).max(axis=-1)
+    return np.all(peak >= d * (1 - NORMALIZER_TOL), axis=-1)
 
 
-def normalizes_weyl_group(u: np.ndarray, d: int, tol: float = NORMALIZER_TOL) -> bool:
-    """True if U W U^dag is a phase times a Weyl operator for every Weyl label."""
-    coeffs = weyl_coefficients(np.asarray(u, dtype=complex)[None], all_weyl(d))[0]
-    return bool(np.all(np.max(np.abs(coeffs), axis=1) >= 1 - tol))
-
-
-def clifford_generators(d: int) -> list[np.ndarray]:
-    """Generating set {X, Z, F, S} for the Clifford group of prime dimension d.
+def clifford_generators(d: int) -> np.ndarray:
+    """Generating set {X, Z, F, S}, stacked [4, d, d], for the Clifford group of prime d.
 
     F is the discrete Fourier matrix; S is the diagonal quadratic-phase gate
     (diag(1, i) at d=2). Each generator is verified to normalize the Weyl group.
@@ -150,12 +141,11 @@ def clifford_generators(d: int) -> list[np.ndarray]:
     else:
         inv2 = pow(2, -1, d)
         s = np.diag(np.exp(2j * np.pi * ((k * (k + 1) * inv2) % d) / d))
-    gens = [x, z, f, s]
-    for g in gens:
-        if np.max(np.abs(g.conj().T @ g - np.eye(d))) > UNITARY_TOL:
-            raise AssertionError("generator is not unitary")
-        if not normalizes_weyl_group(g, d):
-            raise AssertionError("generator fails the Weyl normalizer test")
+    gens = np.stack([x, z, f, s])
+    if np.max(np.abs(gens.conj().transpose(0, 2, 1) @ gens - np.eye(d))) > UNITARY_TOL:
+        raise AssertionError("a generator is not unitary")
+    if not np.all(normalizes_weyl_group(gens)):
+        raise AssertionError("a generator fails the Weyl normalizer test")
     return gens
 
 
@@ -165,18 +155,15 @@ class CliffordGroup:
 
     d: int
     elements: np.ndarray
-    index: dict = field(repr=False, default_factory=dict)
 
     def __post_init__(self):
         self.elements = np.asarray(self.elements, dtype=complex)
-        if not self.index:
-            self.index = {key: i for i, key in enumerate(quantized_key(self.elements))}
 
     def __len__(self) -> int:
         return self.elements.shape[0]
 
 
-def enumerate_clifford(d: int, size_cap: int = DEFAULT_SIZE_CAP) -> CliffordGroup:
+def enumerate_clifford(d: int) -> CliffordGroup:
     """Breadth-first closure of the canonicalized generator products.
 
     Terminates only when the element count matches the cardinality formula and
@@ -186,9 +173,9 @@ def enumerate_clifford(d: int, size_cap: int = DEFAULT_SIZE_CAP) -> CliffordGrou
     if not is_prime(d):
         raise ValueError(f"enumeration is supported for prime d only, got {d}")
     expected = clifford_cardinality(d)
-    if expected > size_cap:
-        raise ValueError(f"expected group size {expected} exceeds cap {size_cap}")
-    gens = np.stack(clifford_generators(d))
+    if expected > SIZE_CAP:
+        raise ValueError(f"expected group size {expected} exceeds cap {SIZE_CAP}")
+    gens = clifford_generators(d)
     identity = canonicalize_phase(np.eye(d, dtype=complex))
     index = {quantized_key(identity): 0}
     blocks = [identity[None]]
@@ -200,26 +187,17 @@ def enumerate_clifford(d: int, size_cap: int = DEFAULT_SIZE_CAP) -> CliffordGrou
             if key not in index:
                 index[key] = len(index)
                 fresh.append(i)
-        if len(index) > size_cap:
-            raise RuntimeError(f"closure exceeded size cap {size_cap}")
+        if len(index) > SIZE_CAP:
+            raise RuntimeError(f"closure exceeded size cap {SIZE_CAP}")
         blocks.append(products[fresh])
     elements = np.concatenate(blocks)
     if len(elements) != expected:
         raise RuntimeError(
             f"closure stabilized at {len(elements)} elements, formula gives {expected}; "
             "canonicalization collision or missing generator")
-    group = CliffordGroup(d, elements, index)
-    _verify_normalizer(group)
-    return group
-
-
-def _verify_normalizer(group: CliffordGroup, tol: float = NORMALIZER_TOL,
-                       batch: int = 128) -> None:
-    w = all_weyl(group.d)
-    for start in range(0, len(group), batch):
-        coeffs = weyl_coefficients(group.elements[start:start + batch], w)
-        if not np.all(np.max(np.abs(coeffs), axis=2) >= 1 - tol):
-            raise RuntimeError("an enumerated element fails the Weyl normalizer test")
+    if not np.all(normalizes_weyl_group(elements)):
+        raise RuntimeError("an enumerated element fails the Weyl normalizer test")
+    return CliffordGroup(d, elements)
 
 
 def clifford_povm(group: CliffordGroup) -> RankOnePovm:

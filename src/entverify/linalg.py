@@ -15,18 +15,6 @@ def require_finite(a: np.ndarray, name: str = "array") -> np.ndarray:
     return a
 
 
-def vectorize(a: np.ndarray) -> np.ndarray:
-    """Flatten a square matrix A to the bipartite vector sum_jk A_jk |j>|k> (row-major).
-
-    For a unitary U the vector of U/sqrt(d) is unit norm, and vectorize(I/sqrt(d))
-    is the canonical maximally entangled state.
-    """
-    a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"vectorize expects a square matrix, got shape {a.shape}")
-    return a.reshape(-1)
-
-
 def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:
     a = np.asarray(a)
     b = np.asarray(b)
@@ -71,8 +59,8 @@ def require_psd(a: np.ndarray, tol: float, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def numerical_rank(a: np.ndarray, tol: float = RANK_TOL) -> int:
-    """Number of eigenvalues of a Hermitian matrix with magnitude above tol."""
+def numerical_rank(a: np.ndarray) -> int:
+    """Number of eigenvalues of a Hermitian matrix with magnitude above RANK_TOL."""
     a = require_hermitian(a)
     vals = np.linalg.eigvalsh(a)
-    return int(np.count_nonzero(np.abs(vals) > tol))
+    return int(np.count_nonzero(np.abs(vals) > RANK_TOL))

@@ -93,17 +93,17 @@ def _overlaps(fam: MubFamily) -> _Overlaps:
     return _Overlaps(basis_dev, cross_dev, ortho_dev, ranks)
 
 
-def _family_report(fam: MubFamily, ov: _Overlaps, tol: float) -> VerificationReport:
+def _family_report(fam: MubFamily, ov: _Overlaps) -> VerificationReport:
     checks = [
-        Check.from_deviation("basis_orthonormality_dev", ov.basis_dev, tol),
-        Check.from_deviation("cross_overlap_dev", ov.cross_dev, tol),
+        Check.from_deviation("basis_orthonormality_dev", ov.basis_dev, MUB_TOL),
+        Check.from_deviation("cross_overlap_dev", ov.cross_dev, MUB_TOL),
     ]
     return VerificationReport("mub", fam.d, checks, metadata={"n_bases": fam.n_bases})
 
 
-def mub_check(fam: MubFamily, tol: float = MUB_TOL) -> VerificationReport:
+def mub_check(fam: MubFamily) -> VerificationReport:
     """Max deviation of within-basis Grams from identity and cross overlaps from 1/d."""
-    return _family_report(fam, _overlaps(fam), tol)
+    return _family_report(fam, _overlaps(fam))
 
 
 def _uniform_povm(fam: MubFamily, family: VerificationReport) -> RankOnePovm:
@@ -133,11 +133,6 @@ def pvm_count_bound(d: int) -> int:
     return -((d * d - 1) // -(d - 1))
 
 
-def projected_span_ranks(fam: MubFamily) -> list[int]:
-    """Rank of each basis's paired-vector span projected off the entangled state."""
-    return _overlaps(fam).ranks
-
-
 def verify_mub_identity(d: int, fam: MubFamily | None = None) -> VerificationReport:
     """Certify the MUB scheme for prime d (on fam, else on mub_prime(d)).
 
@@ -154,7 +149,7 @@ def verify_mub_identity(d: int, fam: MubFamily | None = None) -> VerificationRep
     if fam is None:
         fam = mub_prime(d)
     ov = _overlaps(fam)
-    m = _uniform_povm(fam, _family_report(fam, ov, MUB_TOL))
+    m = _uniform_povm(fam, _family_report(fam, ov))
     t_dev, cov_dev = bell_certificate(m, block=d)
     rank_dev = max(abs(r - (d - 1)) for r in ov.ranks)
     count_dev = abs(fam.n_bases - pvm_count_bound(d))

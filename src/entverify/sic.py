@@ -53,11 +53,11 @@ class FiducialSearchConfig:
 
     def __post_init__(self):
         if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.restarts < 1:
-            raise ValueError("restarts must be at least 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+            raise ValueError(f"restarts must be at least 1, got {self.restarts}")
+        if not 0 < self.tol < np.inf:
+            raise ValueError(f"search tol must be positive and finite, got {self.tol}")
 
 
 def known_fiducial(d: int) -> Fiducial:

@@ -4,6 +4,9 @@ Builds the closed-form invariant test operators on one and two subsystem
 pairs, and the realized test operator of any rank-one POVM (Alice measures,
 Bob projects onto the conjugate vector). Single-pair POVMs are certified from
 the Bell spectrum of their realized test, which never forms the operator.
+
+Weyl labels, used throughout the package: k = a*d + b names W_k = X^a Z^b,
+with the shift X|j> = |j+1> and the clock Z|j> = w^j |j>, w = exp(2 pi i / d).
 """
 
 from __future__ import annotations
@@ -210,11 +213,24 @@ def weyl_overlaps(u: np.ndarray, dft: np.ndarray) -> np.ndarray:
     return (f.reshape(-1, d) @ dft).reshape(n, d, d)
 
 
+def weyl_traces(m: np.ndarray, dft: np.ndarray) -> np.ndarray:
+    """[i, a, b] = Tr(M_i X^a Z^b) for a stack m of d x d matrices, given dft = fourier_matrix(d).
+
+    Tr(M X^a Z^b) = sum_j M_{j, j+a} w^{bj}: the shifted diagonals of M, one
+    per a, go through the same product with the Fourier matrix as in
+    weyl_overlaps.
+    """
+    n, d = m.shape[0], m.shape[-1]
+    k = np.arange(d)
+    g = m[:, k, (k[:, None] + k) % d]                          # [i, a, j] = M_i[j, j+a]
+    return (g.reshape(-1, d) @ dft).reshape(n, d, d)
+
+
 def bell_spectrum(m: RankOnePovm) -> np.ndarray:
     """Bell-basis diagonal of the realized test: lambda_k = (1/d) sum_i p_i |<u_i|W_k|u_i>|^2.
 
-    W_k = X^a Z^b with k = a*d + b (the order of clifford.all_weyl), and the
-    Bell vector of label k is (W_k x I)|phi>. The overlaps come from
+    W_k is the Weyl operator of label k (module docstring), and the Bell
+    vector of label k is (W_k x I)|phi>. The overlaps come from
     weyl_overlaps, for chunks of about BELL_CHUNK complex entries of vectors;
     no d^2 x d^2 array is formed. The O(n d^3) transforms cost less than the
     O(d^5) MUB Gram checks.

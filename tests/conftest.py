@@ -1,9 +1,41 @@
 import numpy as np
 import pytest
 
-from entverify.clifford import CliffordGroup, all_weyl, canonicalize_phase
-from entverify.linalg import require_hermitian
-from entverify.testops import acceptance_probability
+from entverify.clifford import CliffordGroup, canonicalize_phase, weyl
+from entverify.linalg import numerical_rank, require_hermitian
+from entverify.testops import acceptance_probability, max_entangled, paired_vectors
+
+
+def all_weyl(d: int) -> np.ndarray:
+    """All d^2 Weyl operators stacked in label order k = a*d + b (dense reference)."""
+    return np.stack([weyl(d, a, b) for a in range(d) for b in range(d)])
+
+
+def vectorize(a: np.ndarray) -> np.ndarray:
+    """Flatten a square matrix A to the bipartite vector sum_jk A_jk |j>|k> (row-major).
+
+    For a unitary U the vector of U/sqrt(d) is unit norm, and vectorize(I/sqrt(d))
+    is the canonical maximally entangled state.
+    """
+    a = np.asarray(a)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"vectorize expects a square matrix, got shape {a.shape}")
+    return a.reshape(-1)
+
+
+def projected_span_ranks(fam) -> list[int]:
+    """Rank of each basis's paired-vector span projected off the entangled state.
+
+    Dense reference: the paired vectors u x conj(u) of each basis, less their
+    component along the maximally entangled state, and the rank of their Gram.
+    """
+    phi = max_entangled(fam.d)
+    ranks = []
+    for basis in fam.bases:
+        pairs = paired_vectors(basis)
+        centered = pairs - np.outer(pairs @ phi.conj(), phi)
+        ranks.append(numerical_rank(centered.conj() @ centered.T))
+    return ranks
 
 
 def random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:

@@ -11,14 +11,14 @@ import time
 
 import numpy as np
 import pytest
-from conftest import weyl_group
+from conftest import projected_span_ranks, weyl_group
 
 from entverify.clifford import (character_moments, clifford_cardinality,
                                 clifford_povm, enumerate_clifford,
                                 pair_product_counts)
 from entverify.linalg import frobenius_distance, numerical_rank
-from entverify.mub import (mub_povm, mub_prime, projected_span_ranks,
-                           pvm_count_bound, verify_mub_identity)
+from entverify.mub import (mub_povm, mub_prime, pvm_count_bound,
+                           verify_mub_identity)
 from entverify.protocol import isotropic_state, run_protocol
 from entverify.sic import (FiducialSearchConfig, known_fiducial,
                            search_fiducial, sic_check, verify_sic_identity,

@@ -272,6 +272,12 @@ def test_count_d4096_is_fast(capsys):
     ["verify", "sic", "--d", "4", "--search-tol", "0"],
     ["gen", "sic", "--d", "4", "--seed", "-1"],
     ["simulate", "--scheme", "mub", "--d", "2", "--fidelity", "0.9", "--seed", "-1"],
+    ["verify", "sic", "--d", "2", "--tol", "nan"],
+    ["verify", "mub", "--d", "3", "--tol", "-1"],
+    ["gen", "sic", "--d", "4", "--search-tol", "nan"],
+    ["gen", "sic", "--d", "4", "--search-tol", "inf"],
+    ["verify", "mub", "--d", "3", "--seed", "-1"],
+    ["gen", "clifford", "--d", "2", "--restarts", "0"],
 ])
 def test_bad_value_is_one_line_usage_error(argv, capsys):
     code = main(argv)

@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
-from conftest import weyl_group
+from conftest import all_weyl, random_hermitian, random_unitary, weyl_group
 
-from entverify.clifford import (CliffordGroup, all_weyl, canonicalize_phase,
+from entverify import clifford
+from entverify.clifford import (NORMALIZER_TOL, canonicalize_phase,
                                 character_moments, clifford_cardinality,
                                 clifford_generators, clifford_povm,
                                 enumerate_clifford, is_prime,
                                 normalizes_weyl_group, pair_product_counts,
                                 quantized_key, verify_clifford_group,
-                                verify_clifford_identity, weyl,
-                                weyl_coefficients)
+                                verify_clifford_identity, weyl)
 from entverify.linalg import frobenius_distance
 from entverify.testops import invariant_test_double, realized_test
 
@@ -21,7 +21,8 @@ def brute_force_pair_count(n, d):
 def group_contains(group, u, atol=1e-8):
     """Whether u equals, up to phase, an element of the group (found by its hash key)."""
     c = canonicalize_phase(u)
-    i = group.index.get(quantized_key(c))
+    index = {key: i for i, key in enumerate(quantized_key(group.elements))}
+    i = index.get(quantized_key(c))
     return i is not None and np.allclose(group.elements[i], c, atol=atol)
 
 
@@ -123,12 +124,12 @@ def test_generators_d2():
 @pytest.mark.parametrize("d", (2, 3, 5))
 def test_generators_normalize_weyl(d):
     for g in clifford_generators(d):
-        assert normalizes_weyl_group(g, d)
+        assert normalizes_weyl_group(g)
 
 
 def test_non_clifford_fails_normalizer_test():
     t_gate = np.diag([1, np.exp(1j * np.pi / 4)])
-    assert not normalizes_weyl_group(t_gate, 2)
+    assert not normalizes_weyl_group(t_gate)
 
 
 def test_generators_rejects_composite():
@@ -174,7 +175,7 @@ def test_enumeration_size(d, size):
 def test_enumeration_matches_per_product_reference(d):
     elements, keys = reference_closure(d)
     group = enumerate_clifford(d)
-    assert list(group.index) == keys
+    assert quantized_key(group.elements) == keys
     assert np.max(np.abs(group.elements - elements)) <= 1e-14
 
 
@@ -198,11 +199,12 @@ def test_enumeration_elements_normalize_weyl():
         assert np.max(np.abs(coeffs)) > 1 - 1e-10
 
 
-def test_enumeration_rejects_composite_and_cap():
+def test_enumeration_rejects_composite_and_cap(monkeypatch):
     with pytest.raises(ValueError):
         enumerate_clifford(4)
+    monkeypatch.setattr(clifford, "SIZE_CAP", 100)
     with pytest.raises(ValueError):
-        enumerate_clifford(5, size_cap=100)
+        enumerate_clifford(5)
 
 
 def test_povm_d2():
@@ -276,14 +278,36 @@ def test_verify_group_d5_checks():
     assert len(group) == 3000
 
 
-@pytest.mark.parametrize("d", (2, 3))
-def test_weyl_coefficients_match_einsum_reference(d):
-    group = enumerate_clifford(d)
-    w = all_weyl(d)
-    block = group.elements[:40]
-    conj = np.einsum("nij,kjm,nlm->nkil", block, w, block.conj())
-    reference = np.einsum("nkij,lij->nkl", conj, w.conj()) / d
-    assert np.max(np.abs(weyl_coefficients(block, w) - reference)) <= 1e-13
+def dense_normalizes(us):
+    """All-label reference: max_l |Tr(W_l^dag U W_k U^dag)| / d >= 1 - tol for every label k."""
+    w = all_weyl(us.shape[-1])
+    conj = us[:, None] @ w[None] @ us.conj().transpose(0, 2, 1)[:, None]
+    coeffs = np.abs(np.einsum("nkij,lij->nkl", conj, w.conj())) / us.shape[-1]
+    return np.all(coeffs.max(axis=2) >= 1 - NORMALIZER_TOL, axis=1)
+
+
+def normalizer_cases(rng, d):
+    """(unitaries, expected verdicts): Clifford elements and non-Clifford unitaries."""
+    elements = enumerate_clifford(d).elements
+    f = np.exp(2j * np.pi * np.outer(np.arange(d), np.arange(d)) / d) / np.sqrt(d)
+    diagonal = np.diag(np.exp(2j * np.pi * rng.uniform(size=d)))    # commutes with Z
+    circulant = f.conj().T @ diagonal @ f                             # commutes with X
+    u = elements[rng.integers(len(elements))]
+    vals, vecs = np.linalg.eigh(random_hermitian(rng, d))
+    nudged = [u @ (vecs * np.exp(1j * eps * vals)) @ vecs.conj().T for eps in (1e-6, 1e-3)]
+    others = [random_unitary(rng, d), random_unitary(rng, d), diagonal, circulant] + nudged
+    if d == 2:
+        others.append(np.diag([1, np.exp(1j * np.pi / 4)]))         # the T gate
+    expected = [True] * len(elements) + [False] * 4 + [True, False] + [False] * (d == 2)
+    return np.concatenate([elements, np.stack(others)]), np.array(expected)
+
+
+@pytest.mark.parametrize("d", (2, 3, 5))
+def test_normalizer_matches_all_label_reference(rng, d):
+    us, expected = normalizer_cases(rng, d)
+    assert np.array_equal(dense_normalizes(us), expected)
+    assert np.array_equal(normalizes_weyl_group(us), expected)
+    assert normalizes_weyl_group(us.reshape(-1, 1, d, d)).shape == (len(us), 1)
 
 
 def test_is_prime():

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
-from conftest import eigen_hermitian, random_hermitian, random_unitary
+from conftest import eigen_hermitian, random_hermitian, random_unitary, vectorize
 
-from entverify.linalg import frobenius_distance, numerical_rank, vectorize
+from entverify.linalg import frobenius_distance, numerical_rank
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)

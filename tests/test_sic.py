@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
+from conftest import all_weyl
 
 from entverify import sic
-from entverify.clifford import all_weyl
 from entverify.sic import (Fiducial, FiducialSearchConfig, FiducialSearchError,
                            _residual, _residual_gradient, get_fiducial,
                            known_fiducial, orbit_residual, search_fiducial,
@@ -110,6 +110,13 @@ def test_search_unreachable_tol_raises():
     with pytest.raises(FiducialSearchError) as exc:
         search_fiducial(5, cfg)
     assert exc.value.best_residual > 0
+
+
+@pytest.mark.parametrize("bad", [{"seed": -1}, {"restarts": 0}, {"tol": 0.0},
+                                 {"tol": float("nan")}, {"tol": float("inf")}])
+def test_search_config_rejects_bad_values(bad):
+    with pytest.raises(ValueError):
+        FiducialSearchConfig(**bad)
 
 
 @pytest.mark.parametrize("d", (2, 3))

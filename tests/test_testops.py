@@ -1,18 +1,19 @@
 import numpy as np
 import pytest
-from conftest import eigen_hermitian, random_ket, state_with_min_eigenvalue
+from conftest import (all_weyl, eigen_hermitian, random_ket,
+                      state_with_min_eigenvalue)
 
-from entverify.clifford import all_weyl, clifford_povm, enumerate_clifford
+from entverify.clifford import clifford_povm, enumerate_clifford
 from entverify.linalg import frobenius_distance, numerical_rank
 from entverify.mub import mub_povm, mub_prime
 from entverify.sic import (FiducialSearchConfig, known_fiducial,
                            search_fiducial, weyl_orbit)
 from entverify.testops import (CompletenessError, RankOnePovm,
                                acceptance_probability, bell_certificate,
-                               bell_spectrum, invariant_test_double,
-                               invariant_test_single, max_entangled,
-                               paired_vectors, permute_subsystems,
-                               realized_test)
+                               bell_spectrum, fourier_matrix,
+                               invariant_test_double, invariant_test_single,
+                               max_entangled, paired_vectors,
+                               permute_subsystems, realized_test, weyl_traces)
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -228,6 +229,13 @@ def test_paired_vectors_rows_are_kron_with_conjugate(rng):
     pairs = paired_vectors(vecs)
     for v, p in zip(vecs, pairs):
         assert np.array_equal(p, np.kron(v, v.conj()))
+
+
+@pytest.mark.parametrize("d", (2, 3, 5, 7))
+def test_weyl_traces_match_einsum_reference(rng, d):
+    m = rng.standard_normal((6, d, d)) + 1j * rng.standard_normal((6, d, d))
+    reference = np.einsum("nij,kji->nk", m, all_weyl(d)).reshape(6, d, d)
+    assert np.max(np.abs(weyl_traces(m, fourier_matrix(d)) - reference)) <= 1e-12
 
 
 def _dense_bell(m):
