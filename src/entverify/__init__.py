@@ -13,7 +13,7 @@ from .clifford import (CliffordGroup, character_moments, clifford_cardinality,
 from .linalg import frobenius_distance, numerical_rank
 from .mub import (MubFamily, mub_check, mub_povm, mub_prime, pvm_count_bound,
                   verify_mub_identity)
-from .protocol import (BipartiteState, ProtocolTranscript,
+from .protocol import (BellDiagonalState, ProtocolTranscript,
                        double_isotropic_state, isotropic_state, run_protocol)
 from .report import Check, VerificationReport
 from .sic import (Fiducial, FiducialSearchConfig, FiducialSearchError,
@@ -25,7 +25,7 @@ from .testops import (CompletenessError, RankOnePovm, TestOperator,
                       permute_subsystems, realized_test)
 
 __all__ = [
-    "BipartiteState", "Check", "CliffordGroup", "CompletenessError",
+    "BellDiagonalState", "Check", "CliffordGroup", "CompletenessError",
     "Fiducial", "FiducialSearchConfig", "FiducialSearchError",
     "MubFamily", "ProtocolTranscript", "RankOnePovm", "TestOperator",
     "VerificationReport", "acceptance_probability",

@@ -14,8 +14,8 @@ import numpy as np
 
 from .linalg import frobenius_distance
 from .report import Check, VerificationReport
-from .testops import (RankOnePovm, fourier_matrix, invariant_test_double,
-                      realized_test, weyl_traces)
+from .testops import (RankOnePovm, chunks, fourier_matrix,
+                      invariant_test_double, realized_test, weyl_traces)
 
 UNITARY_TOL = 1e-10
 NORMALIZER_TOL = 1e-10
@@ -114,14 +114,20 @@ def normalizes_weyl_group(u: np.ndarray) -> np.ndarray:
     One verdict for a unitary [d, d], one per unitary for a stack [..., d, d].
     It is enough to test W = X and Z, whose products give every X^a Z^b; a
     unitary image V is a phase times a Weyl operator when max_k |Tr(V W_k)| = d.
+    The stack is walked in chunks of about BELL_CHUNK complex image entries.
     """
     u = np.asarray(u, dtype=complex)
     d = u.shape[-1]
+    flat = u.reshape(-1, d, d)
     xz = np.stack([weyl(d, 1, 0), weyl(d, 0, 1)])
-    images = u[..., None, :, :] @ xz @ np.swapaxes(u, -1, -2).conj()[..., None, :, :]
-    traces = weyl_traces(images.reshape(-1, d, d), fourier_matrix(d))
-    peak = np.abs(traces).reshape(*u.shape[:-2], 2, d * d).max(axis=-1)
-    return np.all(peak >= d * (1 - NORMALIZER_TOL), axis=-1)
+    dft = fourier_matrix(d)
+    verdicts = np.empty(len(flat), dtype=bool)
+    for rows in chunks(len(flat), 2 * d * d):
+        v = flat[rows, None]
+        images = v @ xz @ np.swapaxes(v, -1, -2).conj()
+        peak = np.abs(weyl_traces(images.reshape(-1, d, d), dft)).reshape(-1, 2, d * d).max(axis=-1)
+        verdicts[rows] = np.all(peak >= d * (1 - NORMALIZER_TOL), axis=-1)
+    return verdicts.reshape(u.shape[:-2])[()]
 
 
 def clifford_generators(d: int) -> np.ndarray:
@@ -191,6 +197,7 @@ def enumerate_clifford(d: int) -> CliffordGroup:
             raise RuntimeError(f"closure exceeded size cap {SIZE_CAP}")
         blocks.append(products[fresh])
     elements = np.concatenate(blocks)
+    del blocks, index   # not needed by the final check, which would peak on top of them
     if len(elements) != expected:
         raise RuntimeError(
             f"closure stabilized at {len(elements)} elements, formula gives {expected}; "

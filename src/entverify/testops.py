@@ -20,7 +20,7 @@ from .linalg import require_finite, require_hermitian, require_psd
 
 COMPLETENESS_TOL = 1e-10
 NORM_TOL = 1e-10
-BELL_CHUNK = 2 ** 16   # complex entries per chunk of the Bell-spectrum transforms
+BELL_CHUNK = 2 ** 16   # complex entries per chunk of the Weyl transforms
 
 
 class CompletenessError(ValueError):
@@ -226,6 +226,31 @@ def weyl_traces(m: np.ndarray, dft: np.ndarray) -> np.ndarray:
     return (g.reshape(-1, d) @ dft).reshape(n, d, d)
 
 
+def pair_weyl_overlaps(m: np.ndarray, dft: np.ndarray) -> np.ndarray:
+    """[i, a, b, c, e] = <u_i|X^a Z^b x X^c Z^e|u_i> for u_i = vec(M_i), given dft = fourier_matrix(d).
+
+    The two-pair analogue of weyl_overlaps, on Z_d x Z_d: with M_i the d x d
+    matrix of u_i (row-major), the value is Tr(M_i^dag W_k M_i W_l^T) for
+    k = a*d + b, l = c*d + e, and equals
+    sum_{y, z} conj(M[y+a, z+c]) M[y, z] w^(by + ez), so one two-dimensional
+    discrete Fourier transform of conj(roll(M, (-a, -c))) * M gives all (b, e).
+    """
+    n, d = m.shape[0], m.shape[-1]
+    k = np.arange(d)
+    shift = (k[:, None] + k) % d                               # [a, y] = y + a
+    f = m[:, shift[:, :, None, None], shift[None, None]]       # [i, a, y, c, z] = M_i[y+a, z+c]
+    np.conjugate(f, out=f)
+    f *= m[:, None, :, None, :]
+    f = np.moveaxis(f @ dft, 2, -1) @ dft                      # [i, a, c, e, b]
+    return f.transpose(0, 1, 4, 2, 3)
+
+
+def chunks(n: int, row_entries: int) -> list[slice]:
+    """Consecutive slices of range(n), each about BELL_CHUNK complex entries at row_entries per row."""
+    step = max(1, BELL_CHUNK // row_entries)
+    return [slice(s, s + step) for s in range(0, n, step)]
+
+
 def bell_spectrum(m: RankOnePovm) -> np.ndarray:
     """Bell-basis diagonal of the realized test: lambda_k = (1/d) sum_i p_i |<u_i|W_k|u_i>|^2.
 
@@ -237,11 +262,10 @@ def bell_spectrum(m: RankOnePovm) -> np.ndarray:
     """
     d = m.dim
     dft = fourier_matrix(d)
-    step = max(1, BELL_CHUNK // (d * d))
     lam = np.zeros(d * d)
-    for s in range(0, m.n_elements, step):
-        mod = np.abs(weyl_overlaps(m.vectors[s:s + step], dft))
-        lam += m.weights[s:s + step] @ (mod * mod).reshape(len(mod), -1)
+    for rows in chunks(m.n_elements, d * d):
+        mod = np.abs(weyl_overlaps(m.vectors[rows], dft))
+        lam += m.weights[rows] @ (mod * mod).reshape(len(mod), -1)
     return lam / d
 
 

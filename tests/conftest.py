@@ -1,8 +1,12 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from entverify.clifford import CliffordGroup, canonicalize_phase, weyl
-from entverify.linalg import numerical_rank, require_hermitian
+from entverify.linalg import (numerical_rank, require_finite, require_hermitian,
+                              require_psd)
+from entverify.protocol import MARGINAL_TOL, ZERO_OUTCOME_TOL
 from entverify.testops import acceptance_probability, max_entangled, paired_vectors
 
 
@@ -75,8 +79,61 @@ def weyl_group(d: int) -> CliffordGroup:
     return CliffordGroup(d, canonicalize_phase(all_weyl(d)))
 
 
+@dataclass(eq=False)
+class BipartiteState:
+    """Dense density operator on dimension d^2 (single) or d^4 (double): the reference state."""
+
+    local_dim: int
+    rho: np.ndarray
+    party_structure: str = "single"
+
+    def __post_init__(self):
+        self.rho = require_finite(np.asarray(self.rho, dtype=complex), "state")
+        if self.party_structure not in ("single", "double"):
+            raise ValueError(f"unknown party_structure {self.party_structure!r}")
+        n = self.local_dim ** (2 if self.party_structure == "single" else 4)
+        if self.rho.shape != (n, n):
+            raise ValueError(f"expected {n}x{n} density matrix, got {self.rho.shape}")
+        require_hermitian(self.rho, name="state")
+        if abs(np.trace(self.rho).real - 1) > 1e-10:
+            raise ValueError("state trace must be 1")
+        require_psd(self.rho, 1e-10, name="state")
+
+
+def dense_outcome_distribution(m, s: BipartiteState) -> tuple[np.ndarray, np.ndarray]:
+    """Outcome probabilities and conditional acceptance from the dense density operator.
+
+    The reference for protocol.outcome_distribution, which works from the Bell spectrum.
+    """
+    dim = m.dim
+    if s.rho.shape[0] != dim * dim:
+        raise ValueError(f"POVM dimension {dim} does not match state on {s.rho.shape[0]}")
+    # Bob's unnormalized state after outcome i is sigma_i = <u_i|_A rho |u_i>_A.
+    # Its trace is <u_i| Tr_B rho |u_i>, and his acceptance numerator
+    # <conj(u_i)| sigma_i |conj(u_i)> is <pair_i| rho |pair_i>.
+    rho_a = np.einsum("abcb->ac", s.rho.reshape(dim, dim, dim, dim))
+    tr = np.einsum("ia,ia->i", m.vectors.conj() @ rho_a, m.vectors).real
+    q = np.clip(m.weights * tr, 0, None)
+    if abs(q.sum() - 1) > MARGINAL_TOL:
+        raise ValueError(f"outcome probabilities sum to {q.sum()}, POVM/state inconsistent")
+    pairs = paired_vectors(m.vectors)
+    rho_pairs = pairs @ s.rho.T  # row i is rho |pair_i>
+    accept_num = (np.einsum("ia,ia->i", pairs.real, rho_pairs.real)
+                  + np.einsum("ia,ia->i", pairs.imag, rho_pairs.imag))
+    live = q > ZERO_OUTCOME_TOL
+    accept = np.zeros_like(q)
+    accept[live] = np.clip(accept_num[live] / tr[live], 0, 1)
+    return q, accept
+
+
+def random_spectrum(rng: np.random.Generator, d: int, party: str) -> np.ndarray:
+    """A random full-rank Bell spectrum, far from isotropic: shape (d^2,) or (d^2, d^2)."""
+    r = rng.uniform(0.1, 1.0, (d * d,) if party == "single" else (d * d, d * d))
+    return r / r.sum()
+
+
 def analytic_acceptance(t, s) -> float:
-    """Exact acceptance probability Tr(T rho) of a test on a BipartiteState."""
+    """Exact acceptance probability Tr(T rho) of a test on a state with a dense rho."""
     if (t.local_dim, t.party_structure) != (s.local_dim, s.party_structure):
         raise ValueError("test and state live on different systems")
     return acceptance_probability(t, s.rho)

@@ -11,7 +11,7 @@ from entverify.clifford import (NORMALIZER_TOL, canonicalize_phase,
                                 quantized_key, verify_clifford_group,
                                 verify_clifford_identity, weyl)
 from entverify.linalg import frobenius_distance
-from entverify.testops import invariant_test_double, realized_test
+from entverify.testops import chunks, invariant_test_double, realized_test
 
 
 def brute_force_pair_count(n, d):
@@ -308,6 +308,25 @@ def test_normalizer_matches_all_label_reference(rng, d):
     assert np.array_equal(dense_normalizes(us), expected)
     assert np.array_equal(normalizes_weyl_group(us), expected)
     assert normalizes_weyl_group(us.reshape(-1, 1, d, d)).shape == (len(us), 1)
+
+
+@pytest.mark.parametrize("d", (2, 3))
+def test_normalizer_chunk_boundaries(rng, d):
+    # a stack of Clifford elements over more than two chunks, with a random
+    # unitary planted at the first element of the last chunk and at the last
+    elements = enumerate_clifford(d).elements
+    step = chunks(1, 2 * d * d)[0].stop
+    n = 2 * step + 7
+    assert [part.start for part in chunks(n, 2 * d * d)] == [0, step, 2 * step]
+    us = elements[np.arange(n) % len(elements)]
+    planted = [2 * step, n - 1]
+    us[planted] = [random_unitary(rng, d), random_unitary(rng, d)]
+    verdicts = normalizes_weyl_group(us)
+    assert verdicts.shape == (n,)
+    assert np.flatnonzero(~verdicts).tolist() == planted
+    assert np.array_equal(normalizes_weyl_group(us[:12].reshape(3, 4, d, d)), verdicts[:12].reshape(3, 4))
+    single = normalizes_weyl_group(us[0])
+    assert np.ndim(single) == 0 and isinstance(single, np.bool_) and single
 
 
 def test_is_prime():

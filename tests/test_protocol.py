@@ -1,19 +1,23 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import (analytic_acceptance, random_unitary,
-                      state_with_min_eigenvalue, weyl_group)
+from conftest import (BipartiteState, analytic_acceptance,
+                      dense_outcome_distribution, random_spectrum,
+                      random_unitary, state_with_min_eigenvalue, weyl_group)
 
 from entverify.clifford import clifford_povm, enumerate_clifford
+from entverify.linalg import require_psd
 from entverify.mub import mub_povm, mub_prime
-from entverify.protocol import (MAX_SHOTS, BipartiteState,
+from entverify.protocol import (MAX_SHOTS, BellDiagonalState,
                                 double_isotropic_state, isotropic_state,
                                 outcome_distribution, run_protocol)
-from entverify.sic import known_fiducial, weyl_orbit
+from entverify.sic import get_fiducial, known_fiducial, weyl_orbit
 from entverify.testops import (RankOnePovm, acceptance_probability,
                                invariant_test_double, invariant_test_single,
-                               max_entangled, realized_test)
+                               max_entangled, permute_subsystems,
+                               realized_test)
 
 
 def test_isotropic_pure_limit():
@@ -32,6 +36,18 @@ def test_isotropic_eigenvalues():
     s = isotropic_state(2, 0.7)
     vals = np.sort(np.linalg.eigvalsh(s.rho))[::-1]
     assert np.allclose(vals, [0.7, 0.1, 0.1, 0.1])
+
+
+@pytest.mark.parametrize("d", (2, 3))
+def test_rho_matches_dense_construction(d):
+    # the dense states the simulator built before it worked from the spectrum
+    phi = max_entangled(d)
+    p = np.outer(phi, phi.conj())
+    for f in (0.0, 1 / (d * d), 0.37, 0.8, 1.0):
+        rho = f * p + (1 - f) * (np.eye(d * d) - p) / (d * d - 1)
+        double = permute_subsystems(np.kron(rho, rho), [d, d, d, d], [0, 2, 1, 3])
+        assert np.max(np.abs(isotropic_state(d, f).rho - rho)) <= 1e-15
+        assert np.max(np.abs(double_isotropic_state(d, f).rho - double)) <= 1e-15
 
 
 def test_isotropic_rejects_bad_fidelity():
@@ -171,11 +187,39 @@ def test_run_protocol_rejects_dim_mismatch():
 
 
 def test_state_validation():
+    # the rules of the dense reference state
     with pytest.raises(ValueError):
         BipartiteState(2, np.eye(4))  # trace 4
     bad = np.diag([1.5, -0.5, 0, 0]).astype(complex)
     with pytest.raises(ValueError):
         BipartiteState(2, bad)
+
+
+def _spectrum_with(d, index, value):
+    r = np.full(d * d, 1 / (d * d))
+    r[index] = value
+    return r
+
+
+@pytest.mark.parametrize("spectrum,match", [
+    (_spectrum_with(2, 1, np.nan), "NaN"),
+    (_spectrum_with(2, 1, np.inf), "NaN or Inf"),
+    (_spectrum_with(2, 1, -1e-9) / (0.75 - 1e-9), "negative entry"),
+    (_spectrum_with(2, 0, 0.25 + 2e-10), "sums to"),
+    (np.full(3, 1 / 3), "shape"),
+    (np.full((4, 2), 1 / 8), "shape"),
+    (np.full((2, 2, 2, 2), 1 / 16), "shape"),
+])
+def test_spectrum_validation(spectrum, match):
+    with pytest.raises(ValueError, match=match) as info:
+        BellDiagonalState(2, spectrum)
+    assert "\n" not in str(info.value)
+
+
+def test_spectrum_within_tolerance_is_accepted():
+    s = BellDiagonalState(2, [0.5 + 1e-10, 0.25, 0.25, -0.5e-10])   # sums to 1 + 0.5e-10
+    assert s.party_structure == "single"
+    assert BellDiagonalState(2, np.full((4, 4), 1 / 16)).party_structure == "double"
 
 
 def reference_outcome_distribution(m, s):
@@ -200,19 +244,120 @@ def random_full_rank_state(rng, d, party):
     return BipartiteState(d, (u * (p / p.sum())) @ u.conj().T, party)
 
 
+def _povm_and_state(rng, party):
+    """A scheme POVM and a Bell-diagonal state with a random, non-isotropic spectrum."""
+    if party == "single":
+        return mub_povm(mub_prime(3)), BellDiagonalState(3, random_spectrum(rng, 3, party))
+    return clifford_povm(enumerate_clifford(2)), BellDiagonalState(2, random_spectrum(rng, 2, party))
+
+
 @pytest.mark.parametrize("party", ("single", "double"))
 def test_outcome_distribution_matches_einsum_reference(rng, party):
-    if party == "single":
-        m, d = mub_povm(mub_prime(3)), 3
-    else:
-        m, d = clifford_povm(enumerate_clifford(2)), 2
-    s = random_full_rank_state(rng, d, party)
+    m, s = _povm_and_state(rng, party)
     q, accept = outcome_distribution(m, s)
     q_ref, accept_ref = reference_outcome_distribution(m, s)
     assert np.max(np.abs(q - q_ref)) <= 1e-13
     assert np.max(np.abs(accept - accept_ref)) <= 1e-13
-    # the state is not isotropic, so the outcomes are not all equally likely
+    # the state is not isotropic, so the outcomes do not all accept alike
+    assert np.ptp(accept) > 1e-3
+
+
+@pytest.mark.parametrize("party", ("single", "double"))
+def test_dense_reference_matches_einsum_reference(rng, party):
+    # on a state that is not Bell-diagonal, where only the dense paths apply
+    m = mub_povm(mub_prime(3)) if party == "single" else clifford_povm(enumerate_clifford(2))
+    s = random_full_rank_state(rng, 3 if party == "single" else 2, party)
+    q, accept = dense_outcome_distribution(m, s)
+    q_ref, accept_ref = reference_outcome_distribution(m, s)
+    assert np.max(np.abs(q - q_ref)) <= 1e-13
+    assert np.max(np.abs(accept - accept_ref)) <= 1e-13
     assert np.ptp(q) > 1e-3
+
+
+def _scheme_povm(rng, scheme, d):
+    if scheme == "mub":
+        return mub_povm(mub_prime(d))
+    if scheme == "clifford":
+        return clifford_povm(enumerate_clifford(d))
+    # A Weyl-covariant SIC accepts every Bell-diagonal state alike on all its
+    # outcomes (test_sic_acceptance_depends_only_on_r0), so the SIC is rotated
+    # by a random unitary: still a complete rank-one POVM, no longer covariant.
+    m = weyl_orbit(get_fiducial(d))
+    return RankOnePovm(d, m.weights, m.vectors @ random_unitary(rng, d).T)
+
+
+@pytest.mark.parametrize("scheme,d", [("sic", d) for d in (2, 3, 4, 5)]
+                         + [("mub", d) for d in (2, 3, 5, 7)]
+                         + [("clifford", d) for d in (2, 3)])
+def test_bell_path_matches_dense_reference(rng, scheme, d):
+    m = _scheme_povm(rng, scheme, d)
+    party = "double" if scheme == "clifford" else "single"
+    s = BellDiagonalState(d, random_spectrum(rng, d, party))
+    q, accept = outcome_distribution(m, s)
+    q_ref, accept_ref = dense_outcome_distribution(m, BipartiteState(d, s.rho, party))
+    assert np.max(np.abs(q - q_ref)) <= 1e-13
+    assert np.max(np.abs(accept - accept_ref)) <= 1e-13
+    assert np.ptp(accept) > 1e-3
+
+
+@pytest.mark.parametrize("d", (2, 3, 5))
+def test_sic_acceptance_depends_only_on_r0(rng, d):
+    # |<u_i|W_k|u_i>|^2 = 1/(d+1) for k != 0 on every element of a Weyl orbit SIC
+    r = random_spectrum(rng, d, "single")
+    _, accept = outcome_distribution(weyl_orbit(get_fiducial(d)), BellDiagonalState(d, r))
+    assert np.max(np.abs(accept - (r[0] + (1 - r[0]) / (d + 1)))) <= 1e-12
+
+
+@pytest.mark.parametrize("m,d", [(lambda: mub_povm(mub_prime(61)), 61),
+                                 (lambda: weyl_orbit(get_fiducial(12)), 12)])
+def test_single_pair_closed_form(m, d):
+    # <u|W_0|u> = 1 and sum_k |<u|W_k|u>|^2 = d for any unit u, so an
+    # isotropic state accepts with F + (1-F)/(d+1) on every outcome
+    m = m()
+    for f in (0.3, 0.8):
+        q, accept = outcome_distribution(m, isotropic_state(d, f))
+        assert np.max(np.abs(accept - (f + (1 - f) / (d + 1)))) <= 1e-12
+        assert np.max(np.abs(q - m.weights / d)) <= 1e-15
+
+
+def test_two_pair_closed_form():
+    # sum_l |Tr(U^dag W_k U W_l^T)|^2 = d^2 for any unitary U, and it is 0 at
+    # l = 0 for k != 0, so the product of two isotropic states accepts with
+    # F^2 + (1-F)^2/(d^2-1) on every vectorized unitary
+    d = 5
+    m = clifford_povm(enumerate_clifford(d))
+    for f in (0.3, 0.8):
+        _, accept = outcome_distribution(m, double_isotropic_state(d, f))
+        assert np.max(np.abs(accept - (f * f + (1 - f) ** 2 / (d * d - 1)))) <= 1e-12
+
+
+def test_run_protocol_mub_d61_runtime_and_memory_guard():
+    # about 0.7 s and 15 MB traced at d = 61 from the Bell spectrum, povm
+    # build included; the dense 3721 x 3721 state took 8.5 s and 900 MB (2 CPUs)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        t = run_protocol(mub_povm(mub_prime(61)), isotropic_state(61, 0.8), 1000, 0)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(t.analytic - (0.8 + 0.2 / 62)) <= 1e-12
+    assert elapsed < 2.0, f"run_protocol at MUB d = 61 took {elapsed:.2f} s"
+    assert peak < 100e6, f"run_protocol at MUB d = 61 peaked at {peak / 1e6:.0f} MB"
+
+
+def test_outcome_distribution_clifford_d5_memory_guard():
+    # about 5 MB traced from the Bell spectrum in chunks; the dense path took
+    # 66 MB traced for the same call (107 MB resident for the whole command)
+    m = clifford_povm(enumerate_clifford(5))
+    tracemalloc.start()
+    try:
+        outcome_distribution(m, double_isotropic_state(5, 0.8))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6, f"outcome_distribution at Clifford d = 5 peaked at {peak / 1e6:.0f} MB"
 
 
 def reference_per_shot_sample(q, accept, shots, seed):
@@ -224,12 +369,6 @@ def reference_per_shot_sample(q, accept, shots, seed):
     outcomes = np.minimum(np.searchsorted(cum, u_alice, side="right"), len(q) - 1)
     accepts = u_bob < accept[outcomes]
     return np.bincount(outcomes, minlength=len(q)), int(accepts.sum())
-
-
-def _povm_and_state(rng, party):
-    if party == "single":
-        return mub_povm(mub_prime(3)), random_full_rank_state(rng, 3, party)
-    return clifford_povm(enumerate_clifford(2)), random_full_rank_state(rng, 2, party)
 
 
 @pytest.mark.parametrize("party", ("single", "double"))
@@ -286,10 +425,11 @@ def test_cost_does_not_grow_with_shots():
 @pytest.mark.parametrize("lam_min,ok", [(-10e-10, False), (-0.1e-10, True)])
 @pytest.mark.parametrize("d,structure", [(3, "single"), (2, "double")])
 def test_state_psd_rule_matches_eigvalsh(rng, d, structure, lam_min, ok):
+    # the positivity rule of dense states (acceptance_probability, the reference state)
     rho = state_with_min_eigenvalue(rng, d ** (2 if structure == "single" else 4), lam_min)
     assert (np.linalg.eigvalsh(rho)[0] >= -1e-10) == ok
     if ok:
-        BipartiteState(d, rho, structure)
+        require_psd(rho, 1e-10, name="state")
     else:
         with pytest.raises(ValueError, match="positive semi-definite"):
-            BipartiteState(d, rho, structure)
+            require_psd(rho, 1e-10, name="state")
