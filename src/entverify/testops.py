@@ -1,9 +1,13 @@
-"""Test operators for maximally-entangled-state verification.
+"""Rank-one POVMs and the Bell-spectrum certificate of the test they realize.
 
-Builds the closed-form invariant test operators on one and two subsystem
-pairs, and the realized test operator of any rank-one POVM (Alice measures,
-Bob projects onto the conjugate vector). Single-pair POVMs are certified from
-the Bell spectrum of their realized test, which never forms the operator.
+A rank-one POVM {p_i |u_i><u_i|} on Alice's side realizes the test
+T = sum_i p_i |u_i x conj(u_i)><u_i x conj(u_i)| (Alice measures, Bob projects
+onto the conjugate vector). Its vectors are a tensor of one Weyl factor
+(SIC, MUB: u_i in C^d, one subsystem pair) or of two (the Clifford orbit:
+u_i = vec(U_i)/sqrt(d) in C^d x C^d, two pairs in canonical factor order
+A1,A2,B1,B2). bell_certificate reads T's diagonal on the Bell basis from the
+Weyl overlaps of the vectors and bounds its off-diagonal part from their
+Weyl covariance, so T, of dimension d^2 or d^4, is never formed.
 
 Weyl labels, used throughout the package: k = a*d + b names W_k = X^a Z^b,
 with the shift X|j> = |j+1> and the clock Z|j> = w^j |j>, w = exp(2 pi i / d).
@@ -12,11 +16,12 @@ with the shift X|j> = |j+1> and the clock Z|j> = w^j |j>, w = exp(2 pi i / d).
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
+from functools import reduce
 from math import isqrt
 
 import numpy as np
 
-from .linalg import require_finite, require_hermitian, require_psd
+from .linalg import require_finite
 
 COMPLETENESS_TOL = 1e-10
 NORM_TOL = 1e-10
@@ -67,126 +72,6 @@ class RankOnePovm:
         """Max-entry deviation of sum_i p_i |u_i><u_i| from the identity."""
         s = (self.vectors.T * self.weights) @ self.vectors.conj()
         return float(np.max(np.abs(s - np.eye(self.dim))))
-
-
-@dataclass(eq=False)
-class TestOperator:
-    """Hermitian operator T with 0 <= T <= I; acceptance on rho is Tr(T rho).
-
-    party_structure is "single" for a test on H_d x H_d and "double" for a
-    test on (H_d x H_d) x (H_d x H_d) in canonical factor order A1,A2,B1,B2.
-    """
-
-    matrix: np.ndarray
-    local_dim: int
-    party_structure: str
-
-    def __post_init__(self):
-        self.matrix = require_finite(np.asarray(self.matrix, dtype=complex), "test operator")
-        if self.party_structure not in ("single", "double"):
-            raise ValueError(f"unknown party_structure {self.party_structure!r}")
-        expected = self.local_dim ** (2 if self.party_structure == "single" else 4)
-        if self.matrix.shape != (expected, expected):
-            raise ValueError(f"expected {expected}x{expected} matrix, got {self.matrix.shape}")
-        require_hermitian(self.matrix, name="test operator")
-
-
-def max_entangled(d: int) -> np.ndarray:
-    """Unit vector (1/sqrt(d)) sum_i |i>|i> on a d x d bipartite system."""
-    if d < 2:
-        raise ValueError("local dimension must be at least 2")
-    v = np.zeros(d * d, dtype=complex)
-    v[np.arange(d) * d + np.arange(d)] = 1 / np.sqrt(d)
-    return v
-
-
-def invariant_test_single(d: int) -> TestOperator:
-    """Optimal invariant test on one subsystem pair.
-
-    Projector onto the maximally entangled state plus 1/(d+1) times the
-    complementary projector; spectrum {1, 1/(d+1) x (d^2-1)}.
-    """
-    phi = max_entangled(d)
-    p = np.outer(phi, phi.conj())
-    t = p + (np.eye(d * d) - p) / (d + 1)
-    return TestOperator(t, d, "single")
-
-
-def invariant_test_double(d: int) -> TestOperator:
-    """Optimal invariant test on two subsystem pairs, canonical order A1,A2,B1,B2.
-
-    Built as P x P + (1/(d^2-1)) (I-P) x (I-P) in pair order (A1,B1),(A2,B2)
-    and permuted to the canonical factor order.
-    """
-    phi = max_entangled(d)
-    p = np.outer(phi, phi.conj())
-    q = np.eye(d * d) - p
-    prod = np.kron(p, p) + np.kron(q, q) / (d * d - 1)
-    t = permute_subsystems(prod, [d, d, d, d], [0, 2, 1, 3])
-    return TestOperator(t, d, "double")
-
-
-def permute_subsystems(a: np.ndarray, dims: list[int], perm: list[int]) -> np.ndarray:
-    """Reorder tensor factors of an operator: new factor k is old factor perm[k]."""
-    a = np.asarray(a)
-    n = int(np.prod(dims))
-    if a.shape != (n, n):
-        raise ValueError(f"operator shape {a.shape} does not match dims {dims}")
-    if sorted(perm) != list(range(len(dims))):
-        raise ValueError(f"invalid permutation {perm}")
-    k = len(dims)
-    t = a.reshape(list(dims) + list(dims))
-    axes = list(perm) + [k + p for p in perm]
-    return t.transpose(axes).reshape(n, n)
-
-
-def paired_vectors(vectors: np.ndarray) -> np.ndarray:
-    """Rows u_i x conj(u_i) (row-major, length dim^2) for the row vectors u_i."""
-    vectors = np.asarray(vectors)
-    n = vectors.shape[0]
-    return (vectors[:, :, None] * vectors.conj()[:, None, :]).reshape(n, -1)
-
-
-def realized_test(m: RankOnePovm, double: bool = False,
-                   require_complete: bool = True) -> TestOperator:
-    """Realized test operator sum_i p_i |u_i x conj(u_i)><u_i x conj(u_i)|.
-
-    With double=True the POVM acts on a d^2-dimensional composite A-side and
-    the result is tagged with canonical factor order A1,A2,B1,B2.
-    """
-    if require_complete:
-        defect = m.completeness_defect()
-        if defect > COMPLETENESS_TOL:
-            raise CompletenessError(defect)
-    pairs = paired_vectors(m.vectors)
-    left = pairs.T * m.weights
-    # conjugate in place so the product holds two n x dim^2 arrays, not three
-    t = left @ np.conj(pairs, out=pairs)
-    if double:
-        d = isqrt(m.dim)
-        if d * d != m.dim:
-            raise ValueError(f"double-system POVM dimension {m.dim} is not a perfect square")
-        return TestOperator(t, d, "double")
-    return TestOperator(t, m.dim, "single")
-
-
-def acceptance_probability(t: TestOperator, rho: np.ndarray, tol: float = 1e-10) -> float:
-    """Born-rule acceptance Tr(T rho) for a density operator rho."""
-    rho = require_finite(np.asarray(rho, dtype=complex), "state")
-    if rho.shape != t.matrix.shape:
-        raise ValueError(f"dimension mismatch: state {rho.shape}, test {t.matrix.shape}")
-    require_hermitian(rho, tol, name="state")
-    if abs(np.trace(rho).real - 1) > tol:
-        raise ValueError(f"state trace {np.trace(rho).real} is not 1")
-    require_psd(rho, tol, name="state")
-    return float(np.einsum("ab,ba->", t.matrix, rho).real)
-
-
-def invariant_bell_spectrum(d: int) -> np.ndarray:
-    """Eigenvalues of invariant_test_single(d) on the Bell basis: 1, then 1/(d+1) d^2-1 times."""
-    lam = np.full(d * d, 1 / (d + 1))
-    lam[0] = 1.0
-    return lam
 
 
 def fourier_matrix(d: int) -> np.ndarray:
@@ -251,38 +136,85 @@ def chunks(n: int, row_entries: int) -> list[slice]:
     return [slice(s, s + step) for s in range(0, n, step)]
 
 
-def bell_spectrum(m: RankOnePovm) -> np.ndarray:
-    """Bell-basis diagonal of the realized test: lambda_k = (1/d) sum_i p_i |<u_i|W_k|u_i>|^2.
+def squared_weyl_overlaps(u: np.ndarray, d: int):
+    """Yield (rows, |<u_i|V|u_i>|^2) over chunks of the rows u_i of u, one column per Weyl label.
 
-    W_k is the Weyl operator of label k (module docstring), and the Bell
-    vector of label k is (W_k x I)|phi>. The overlaps come from
-    weyl_overlaps, for chunks of about BELL_CHUNK complex entries of vectors;
-    no d^2 x d^2 array is formed. The O(n d^3) transforms cost less than the
-    O(d^5) MUB Gram checks.
+    V runs over the W_k for vectors of length d (one factor), from
+    weyl_overlaps, and over W_k x W_l for length d^2 (two factors,
+    u_i = vec(M_i)), from pair_weyl_overlaps, in label order k (or k*d^2 + l).
+    Each chunk holds about BELL_CHUNK complex overlap entries.
     """
-    d = m.dim
     dft = fourier_matrix(d)
-    lam = np.zeros(d * d)
-    for rows in chunks(m.n_elements, d * d):
-        mod = np.abs(weyl_overlaps(m.vectors[rows], dft))
-        lam += m.weights[rows] @ (mod * mod).reshape(len(mod), -1)
-    return lam / d
+    single = u.shape[1] == d
+    for rows in chunks(len(u), u.shape[1] ** 2):
+        mod = np.abs(weyl_overlaps(u[rows], dft) if single
+                     else pair_weyl_overlaps(u[rows].reshape(-1, d, d), dft))
+        mod *= mod   # in place: a suspended generator would otherwise keep both arrays
+        yield rows, mod.reshape(len(mod), -1)
 
 
-def weyl_covariance(m: RankOnePovm, block: int) -> tuple[float, float]:
-    """(deviation, off-diagonal bound) for the claim that X and Z map each block onto itself.
+def _local_dim(m: RankOnePovm, double: bool) -> int:
+    """The size d of each Weyl factor: m.dim for one factor, sqrt(m.dim) for two."""
+    if not double:
+        return m.dim
+    d = isqrt(m.dim)
+    if d * d != m.dim:
+        raise ValueError(f"two-pair POVM dimension {m.dim} is not a perfect square")
+    return d
 
-    The elements come in consecutive blocks of `block` (one basis of a MUB
-    family; a whole SIC orbit). For g in {X, Z} and each element i, sigma(i)
-    is the element of i's block with the largest |<u_sigma(i)|g u_i>|, from
-    one block x block Gram per block. The deviation is the largest of
+
+def invariant_bell_spectrum(d: int, double: bool = False) -> np.ndarray:
+    """Bell-basis eigenvalues of the optimal invariant test on one or two pairs.
+
+    One pair, P + (I - P)/(d+1) with P the projector onto the maximally
+    entangled state: 1 at label 0, then 1/(d+1), shape (d^2,). Two pairs,
+    P x P + (I - P) x (I - P)/(d^2 - 1) in pair order: 1 at (0, 0),
+    1/(d^2 - 1) where k != 0 and l != 0, and 0 elsewhere, shape (d^2, d^2).
+    """
+    if double:
+        lam = np.zeros((d * d, d * d))
+        lam[1:, 1:] = 1 / (d * d - 1)
+    else:
+        lam = np.full(d * d, 1 / (d + 1))
+    lam.flat[0] = 1.0
+    return lam
+
+
+def bell_spectrum(m: RankOnePovm, double: bool = False) -> np.ndarray:
+    """Bell-basis diagonal of the realized test: lambda_k = (1/D) sum_i p_i |<u_i|V_k|u_i>|^2.
+
+    D = m.dim. One factor: V_k = W_k, the Bell vector of label k is
+    (W_k x I)|phi>, and the result has shape (d^2,). Two factors (double):
+    V_kl = W_k x W_l on A1A2, the Bell vector of (k, l) is (W_k x I)|phi> on
+    (A1,B1) times (W_l x I)|phi> on (A2,B2), and the result has shape
+    (d^2, d^2). The overlaps come from squared_weyl_overlaps; no D^2 x D^2
+    array is formed. The O(n d^3) transforms cost less than the O(d^5) MUB
+    Gram checks.
+    """
+    d = _local_dim(m, double)
+    lam = np.zeros(m.dim ** 2)
+    for rows, mod2 in squared_weyl_overlaps(m.vectors, d):
+        lam += m.weights[rows] @ mod2
+    return (lam / m.dim).reshape((d * d,) * (1 + double))
+
+
+def weyl_covariance(m: RankOnePovm, block: int, double: bool = False) -> tuple[float, float]:
+    """(deviation, off-diagonal bound) for the claim that the Weyl generators map each block onto itself.
+
+    The generators are the shift X and the clock Z on each factor: X and Z
+    for one factor, X x I, Z x I, I x X and I x Z for two (double). The
+    elements come in consecutive blocks of `block` (one basis of a MUB
+    family; a whole SIC or Clifford orbit). For each generator g and each
+    element i, sigma(i) is the element of i's block with the largest
+    |<u_sigma(i)|g u_i>|, from one block x block Gram per block. The
+    deviation is the largest of
       eps_i = min over phases c of ||g u_i - c u_sigma(i)||   (computed from
               the difference vector, never from 1 - |overlap|, which would
               resolve it only to the square root of the rounding error),
       |p_i - p_sigma(i)|, and |m_j - 1| with m_j the number of i with sigma(i) = j
-    over both generators. It is 0 when X and Z permute the elements of each
-    block up to phases with equal weights and no two elements of a block are
-    parallel; a repeated element makes sigma collide, and the block is
+    over all generators. It is 0 when the generators permute the elements of
+    each block up to phases with equal weights and no two elements of a block
+    are parallel; a repeated element makes sigma collide, and the block is
     reported as not covariant.
 
     The bound: write C_g(M) = g M g^dag, a unitary on operators, and
@@ -292,56 +224,69 @@ def weyl_covariance(m: RankOnePovm, block: int) -> tuple[float, float]:
     so, in Frobenius norm,
       delta_g = ||[T, C_g]|| <= sum_i p_i eps_i (|u_i| + |u_s|)(|u_i|^2 + |u_s|^2)
                 + sum_i |p_i - p_s| |u_s|^4 + sum_j |m_j - 1| p_j |u_j|^4,
-    which is O(d eps) for unit vectors with weights summing to d. On the Bell
-    basis C_X and C_Z are diagonal with eigenvalues w^-b and w^a on label
-    (a, b); two distinct labels differ in one of them by a power w^t != 1, and
-    |w^t - 1| >= 2 sin(pi/d). Hence the off-diagonal part of T on the Bell basis
-    has Frobenius norm at most sqrt(delta_X^2 + delta_Z^2) / (2 sin(pi/d)),
-    which is the second value returned.
+    which is O(D eps) for unit vectors with weights summing to D = m.dim.
+    The Bell vectors are the vectorized W_k (one factor) or W_k x W_l (two),
+    and C_g maps them to multiples of themselves: X W_k X^dag = w^-b W_k and
+    Z W_k Z^dag = w^a W_k on label k = (a, b), so C_X and C_Z have
+    eigenvalues w^-b and w^a, and on label (k, l) = ((a, b), (c, e)) the four
+    generators have w^-b, w^a, w^-e and w^c. Two distinct labels differ in at
+    least one of a, b (c, e), so in one of these eigenvalues by a power
+    w^t != 1, and |w^t - 1| >= 2 sin(pi/d). Each off-diagonal entry T_xy of T
+    on the Bell basis is therefore multiplied by at least 2 sin(pi/d) in
+    C_g T C_g^dag - T for some g, and the off-diagonal part of T has
+    Frobenius norm at most sqrt(sum_g delta_g^2) / (2 sin(pi/d)), which is
+    the second value returned.
     """
-    d, n = m.dim, m.n_elements
+    d, n = _local_dim(m, double), m.n_elements
     if n == 0 or n % block:
         raise ValueError(f"{n} elements do not split into blocks of {block}")
-    u = m.vectors.reshape(-1, block, d)
+    u = m.vectors.reshape((-1, block) + (d,) * (1 + double))   # one axis per factor
+    flat = u.reshape(-1, block, m.dim)
     p = m.weights
     norm = np.linalg.norm(m.vectors, axis=1)
     offsets = np.repeat(np.arange(0, n, block), block)
     clock = np.exp(2j * np.pi * np.arange(d) / d)
     dev, deltas = 0.0, []
-    # rows g u_i for the shift X|k> = |k+1> and the clock Z|k> = w^k |k>
-    for gu in (np.roll(u, 1, axis=2), u * clock):
-        over = u.conj() @ gu.transpose(0, 2, 1)            # [blk, j, i] = <u_j|g u_i>
-        local = np.argmax(np.abs(over), axis=1)            # [blk, i]
-        best = np.take_along_axis(over, local[:, None, :], axis=1)[:, 0, :]
-        partner = np.take_along_axis(u, local[:, :, None], axis=1)
-        phase = np.exp(1j * np.angle(best))[:, :, None]
-        eps = np.linalg.norm(gu - phase * partner, axis=2).ravel()
-        sigma = offsets + local.ravel()
-        mult_defect = np.abs(np.bincount(sigma, minlength=n) - 1)
-        weight_defect = np.abs(p - p[sigma])
-        dev = max(dev, float(eps.max()), float(weight_defect.max()), float(mult_defect.max()))
-        ns = norm[sigma]
-        deltas.append(float(np.sum(p * eps * (norm + ns) * (norm ** 2 + ns ** 2))
-                            + weight_defect @ ns ** 4 + mult_defect @ (p * norm ** 4)))
-    return dev, float(np.hypot(*deltas) / (2 * np.sin(np.pi / d)))
+    for axis in range(2, u.ndim):
+        # rows g u_i for the shift X|k> = |k+1> and the clock Z|k> = w^k |k> on this factor
+        on_axis = clock.reshape((d,) + (1,) * (u.ndim - 1 - axis))
+        for gu in (np.roll(u, 1, axis=axis), u * on_axis):
+            gu = gu.reshape(flat.shape)
+            over = flat.conj() @ gu.transpose(0, 2, 1)         # [blk, j, i] = <u_j|g u_i>
+            local = np.argmax(np.abs(over), axis=1)            # [blk, i]
+            best = np.take_along_axis(over, local[:, None, :], axis=1)[:, 0, :]
+            partner = np.take_along_axis(flat, local[:, :, None], axis=1)
+            phase = np.exp(1j * np.angle(best))[:, :, None]
+            eps = np.linalg.norm(gu - phase * partner, axis=2).ravel()
+            sigma = offsets + local.ravel()
+            mult_defect = np.abs(np.bincount(sigma, minlength=n) - 1)
+            weight_defect = np.abs(p - p[sigma])
+            dev = max(dev, float(eps.max()), float(weight_defect.max()), float(mult_defect.max()))
+            ns = norm[sigma]
+            deltas.append(float(np.sum(p * eps * (norm + ns) * (norm ** 2 + ns ** 2))
+                                + weight_defect @ ns ** 4 + mult_defect @ (p * norm ** 4)))
+    return dev, float(reduce(np.hypot, deltas) / (2 * np.sin(np.pi / d)))
 
 
-def bell_certificate(m: RankOnePovm, block: int) -> tuple[float, float]:
-    """(t_identity_dev, weyl_covariance_dev) of a single-pair POVM, without the d^2 x d^2 test.
+def bell_certificate(m: RankOnePovm, block: int, double: bool = False) -> tuple[float, float, float]:
+    """(t_identity_dev, weyl_covariance_dev, trace_dev) of a one- or two-pair POVM, without T.
 
-    If X and Z map each block of `block` elements onto itself up to phases
-    with equal weights (weyl_covariance), the realized test T commutes with
-    every W_k x conj(W_k) and is diagonal on the Bell basis, with the
-    eigenvalues bell_spectrum(m). t_identity_dev is
-      sqrt(||bell_spectrum(m) - invariant_bell_spectrum(d)||^2 + b^2),
+    If the Weyl generators map each block of `block` elements onto itself up
+    to phases with equal weights (weyl_covariance), the realized test T
+    commutes with every C_g and is diagonal on the Bell basis, with the
+    eigenvalues bell_spectrum(m, double). t_identity_dev is
+      sqrt(||bell_spectrum - invariant_bell_spectrum||^2 + b^2),
     with b the weyl_covariance bound on T's off-diagonal part on the Bell
-    basis, so it bounds the Frobenius distance ||T - invariant_test_single(d)||
+    basis, so it bounds the Frobenius distance from T to the invariant test
     for any POVM, covariant or not, up to rounding. For a covariant POVM b is
     at rounding level (1.3e-12 for the MUBs at d = 61), and t_identity_dev is
     the dense distance to within b. A family that realizes the test but is
     not Weyl covariant (any MUB family rotated by a generic unitary) fails
-    weyl_covariance_dev and is reported as not certified.
+    weyl_covariance_dev and is reported as not certified. trace_dev is
+    |Tr T - D|, with Tr T the sum of the spectrum and D = m.dim the trace of
+    the invariant test on one pair or two.
     """
-    cov_dev, off_bound = weyl_covariance(m, block)
-    diag = np.linalg.norm(bell_spectrum(m) - invariant_bell_spectrum(m.dim))
-    return float(np.hypot(diag, off_bound)), cov_dev
+    cov_dev, off_bound = weyl_covariance(m, block, double)
+    spectrum = bell_spectrum(m, double)
+    diag = np.linalg.norm(spectrum - invariant_bell_spectrum(_local_dim(m, double), double))
+    return float(np.hypot(diag, off_bound)), cov_dev, abs(float(spectrum.sum()) - m.dim)

@@ -1,13 +1,176 @@
 from dataclasses import dataclass
+from math import isqrt
 
 import numpy as np
 import pytest
 
 from entverify.clifford import CliffordGroup, canonicalize_phase, weyl
-from entverify.linalg import (numerical_rank, require_finite, require_hermitian,
-                              require_psd)
+from entverify.linalg import numerical_rank, require_finite, require_hermitian
 from entverify.protocol import MARGINAL_TOL, ZERO_OUTCOME_TOL
-from entverify.testops import acceptance_probability, max_entangled, paired_vectors
+from entverify.testops import (COMPLETENESS_TOL, CompletenessError, RankOnePovm,
+                               fourier_matrix)
+
+# --- the dense operator layer: the reference every Bell-spectrum path is checked against
+
+
+def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:
+    a = np.asarray(a)
+    b = np.asarray(b)
+    if a.shape != b.shape:
+        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    return float(np.linalg.norm(a - b))
+
+
+def require_psd(a: np.ndarray, tol: float, name: str = "matrix") -> np.ndarray:
+    """Reject a Hermitian matrix whose smallest eigenvalue is below -tol.
+
+    Cholesky of a + tol*I succeeds exactly when a + tol*I is positive
+    definite, which is the rule lambda_min >= -tol at about a third of the
+    cost of the full spectrum. Cholesky of a itself is tried first: if it
+    succeeds, a is positive definite up to rounding (far below any tol used
+    here), and the shifted copy, which would raise peak memory, is not made.
+    """
+    try:
+        np.linalg.cholesky(a)
+        return a
+    except np.linalg.LinAlgError:
+        pass
+    shifted = a.copy()
+    shifted.flat[::a.shape[0] + 1] += tol
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        raise ValueError(f"{name} is not positive semi-definite") from None
+    return a
+
+
+@dataclass(eq=False)
+class TestOperator:
+    """Hermitian operator T with 0 <= T <= I; acceptance on rho is Tr(T rho).
+
+    party_structure is "single" for a test on H_d x H_d and "double" for a
+    test on (H_d x H_d) x (H_d x H_d) in canonical factor order A1,A2,B1,B2.
+    """
+
+    matrix: np.ndarray
+    local_dim: int
+    party_structure: str
+
+    def __post_init__(self):
+        self.matrix = require_finite(np.asarray(self.matrix, dtype=complex), "test operator")
+        if self.party_structure not in ("single", "double"):
+            raise ValueError(f"unknown party_structure {self.party_structure!r}")
+        expected = self.local_dim ** (2 if self.party_structure == "single" else 4)
+        if self.matrix.shape != (expected, expected):
+            raise ValueError(f"expected {expected}x{expected} matrix, got {self.matrix.shape}")
+        require_hermitian(self.matrix, name="test operator")
+
+
+def max_entangled(d: int) -> np.ndarray:
+    """Unit vector (1/sqrt(d)) sum_i |i>|i> on a d x d bipartite system."""
+    if d < 2:
+        raise ValueError("local dimension must be at least 2")
+    v = np.zeros(d * d, dtype=complex)
+    v[np.arange(d) * d + np.arange(d)] = 1 / np.sqrt(d)
+    return v
+
+
+def invariant_test_single(d: int) -> TestOperator:
+    """Optimal invariant test on one subsystem pair.
+
+    Projector onto the maximally entangled state plus 1/(d+1) times the
+    complementary projector; spectrum {1, 1/(d+1) x (d^2-1)}.
+    """
+    phi = max_entangled(d)
+    p = np.outer(phi, phi.conj())
+    t = p + (np.eye(d * d) - p) / (d + 1)
+    return TestOperator(t, d, "single")
+
+
+def invariant_test_double(d: int) -> TestOperator:
+    """Optimal invariant test on two subsystem pairs, canonical order A1,A2,B1,B2.
+
+    Built as P x P + (1/(d^2-1)) (I-P) x (I-P) in pair order (A1,B1),(A2,B2)
+    and permuted to the canonical factor order.
+    """
+    phi = max_entangled(d)
+    p = np.outer(phi, phi.conj())
+    q = np.eye(d * d) - p
+    prod = np.kron(p, p) + np.kron(q, q) / (d * d - 1)
+    t = permute_subsystems(prod, [d, d, d, d], [0, 2, 1, 3])
+    return TestOperator(t, d, "double")
+
+
+def permute_subsystems(a: np.ndarray, dims: list[int], perm: list[int]) -> np.ndarray:
+    """Reorder tensor factors of an operator: new factor k is old factor perm[k]."""
+    a = np.asarray(a)
+    n = int(np.prod(dims))
+    if a.shape != (n, n):
+        raise ValueError(f"operator shape {a.shape} does not match dims {dims}")
+    if sorted(perm) != list(range(len(dims))):
+        raise ValueError(f"invalid permutation {perm}")
+    k = len(dims)
+    t = a.reshape(list(dims) + list(dims))
+    axes = list(perm) + [k + p for p in perm]
+    return t.transpose(axes).reshape(n, n)
+
+
+def paired_vectors(vectors: np.ndarray) -> np.ndarray:
+    """Rows u_i x conj(u_i) (row-major, length dim^2) for the row vectors u_i."""
+    vectors = np.asarray(vectors)
+    n = vectors.shape[0]
+    return (vectors[:, :, None] * vectors.conj()[:, None, :]).reshape(n, -1)
+
+
+def realized_test(m: RankOnePovm, double: bool = False,
+                  require_complete: bool = True) -> TestOperator:
+    """Realized test operator sum_i p_i |u_i x conj(u_i)><u_i x conj(u_i)|.
+
+    With double=True the POVM acts on a d^2-dimensional composite A-side and
+    the result is tagged with canonical factor order A1,A2,B1,B2.
+    """
+    if require_complete:
+        defect = m.completeness_defect()
+        if defect > COMPLETENESS_TOL:
+            raise CompletenessError(defect)
+    pairs = paired_vectors(m.vectors)
+    left = pairs.T * m.weights
+    # conjugate in place so the product holds two n x dim^2 arrays, not three
+    t = left @ np.conj(pairs, out=pairs)
+    if double:
+        d = isqrt(m.dim)
+        if d * d != m.dim:
+            raise ValueError(f"double-system POVM dimension {m.dim} is not a perfect square")
+        return TestOperator(t, d, "double")
+    return TestOperator(t, m.dim, "single")
+
+
+def acceptance_probability(t: TestOperator, rho: np.ndarray, tol: float = 1e-10) -> float:
+    """Born-rule acceptance Tr(T rho) for a density operator rho."""
+    rho = require_finite(np.asarray(rho, dtype=complex), "state")
+    if rho.shape != t.matrix.shape:
+        raise ValueError(f"dimension mismatch: state {rho.shape}, test {t.matrix.shape}")
+    require_hermitian(rho, tol, name="state")
+    if abs(np.trace(rho).real - 1) > tol:
+        raise ValueError(f"state trace {np.trace(rho).real} is not 1")
+    require_psd(rho, tol, name="state")
+    return float(np.einsum("ab,ba->", t.matrix, rho).real)
+
+
+def dense_rho(state) -> np.ndarray:
+    """The dense density operator of a BellDiagonalState, d^2 x d^2 or d^4 x d^4."""
+    d = state.local_dim
+    k = np.arange(d)
+    bell = np.zeros((d, d, d, d), dtype=complex)      # [a, b, x, y] = <x y|Phi_ab>
+    bell[k[:, None], :, (k[:, None] + k) % d, k] = fourier_matrix(d) / np.sqrt(d)
+    bell = bell.reshape(d * d, d, d)
+    if state.party_structure == "double":
+        bell = np.einsum("kac,lbd->klabcd", bell, bell)
+    bell = bell.reshape(state.spectrum.size, -1)
+    return bell.T @ (state.spectrum.reshape(-1, 1) * bell.conj())
+
+
+# --- other references and helpers
 
 
 def all_weyl(d: int) -> np.ndarray:
@@ -136,7 +299,7 @@ def analytic_acceptance(t, s) -> float:
     """Exact acceptance probability Tr(T rho) of a test on a state with a dense rho."""
     if (t.local_dim, t.party_structure) != (s.local_dim, s.party_structure):
         raise ValueError("test and state live on different systems")
-    return acceptance_probability(t, s.rho)
+    return acceptance_probability(t, dense_rho(s))
 
 
 @pytest.fixture

@@ -11,20 +11,20 @@ import time
 
 import numpy as np
 import pytest
-from conftest import projected_span_ranks, weyl_group
+from conftest import (frobenius_distance, invariant_test_double,
+                      invariant_test_single, projected_span_ranks,
+                      realized_test, weyl_group)
 
 from entverify.clifford import (character_moments, clifford_cardinality,
                                 clifford_povm, enumerate_clifford,
                                 pair_product_counts)
-from entverify.linalg import frobenius_distance, numerical_rank
+from entverify.linalg import numerical_rank
 from entverify.mub import (mub_povm, mub_prime, pvm_count_bound,
                            verify_mub_identity)
 from entverify.protocol import isotropic_state, run_protocol
 from entverify.sic import (FiducialSearchConfig, known_fiducial,
                            search_fiducial, sic_check, verify_sic_identity,
                            weyl_orbit)
-from entverify.testops import (invariant_test_double, invariant_test_single,
-                               realized_test)
 
 SEARCH_DIMS = (4, 5, 6, 7)
 _fiducials: dict[int, object] = {}

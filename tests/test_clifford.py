@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
-from conftest import all_weyl, random_hermitian, random_unitary, weyl_group
+from conftest import (all_weyl, frobenius_distance, invariant_test_double,
+                      random_hermitian, random_unitary, realized_test,
+                      weyl_group)
 
 from entverify import clifford
 from entverify.clifford import (NORMALIZER_TOL, canonicalize_phase,
@@ -10,8 +12,7 @@ from entverify.clifford import (NORMALIZER_TOL, canonicalize_phase,
                                 normalizes_weyl_group, pair_product_counts,
                                 quantized_key, verify_clifford_group,
                                 verify_clifford_identity, weyl)
-from entverify.linalg import frobenius_distance
-from entverify.testops import chunks, invariant_test_double, realized_test
+from entverify.testops import RankOnePovm, bell_certificate, chunks
 
 
 def brute_force_pair_count(n, d):
@@ -246,7 +247,8 @@ def test_verify_identity_d2():
 def test_verify_identity_d3():
     report = verify_clifford_identity(3)
     assert report.overall
-    assert report.check("t_identity_dev").measured < 1e-9
+    assert report.check("t_identity_dev").measured < 1e-10
+    assert report.check("weyl_covariance_dev").measured < 1e-10
 
 
 def test_verify_identity_rejects_large_d():
@@ -259,6 +261,33 @@ def test_weyl_subgroup_negative_control():
     t = realized_test(m, double=True)
     dist = frobenius_distance(t.matrix, invariant_test_double(2).matrix)
     assert dist > 0.1
+    # the Weyl orbit is Weyl covariant, so the certificate reads the same distance
+    t_dev, cov_dev, _ = bell_certificate(m, m.n_elements, double=True)
+    assert t_dev > 0.1 and abs(t_dev - dist) <= 1e-12
+    assert cov_dev <= 1e-14
+
+
+@pytest.mark.parametrize("d", (2, 3))
+def test_rotated_orbit_fails_weyl_covariance(rng, d):
+    # a generic unitary on A1A2 keeps the orbit a complete POVM but breaks
+    # the Weyl covariance the certificate rests on. A unitary on A1 or A2
+    # alone even keeps the realized test, and still breaks the covariance on
+    # its factor: a generic one, a circulant (which commutes with the shift,
+    # not the clock) and a diagonal one (the other way round)
+    m = clifford_povm(enumerate_clifford(d))
+    f = np.exp(2j * np.pi * np.outer(np.arange(d), np.arange(d)) / d) / np.sqrt(d)
+    diagonal = np.diag(np.exp(2j * np.pi * rng.uniform(size=d)))
+    circulant = f.conj().T @ np.diag(np.exp(2j * np.pi * rng.uniform(size=d))) @ f
+    local = [np.kron(np.eye(d), random_unitary(rng, d)), np.kron(circulant, np.eye(d)),
+             np.kron(np.eye(d), diagonal)]
+    for i, rotation in enumerate([random_unitary(rng, d * d)] + local):
+        rotated = RankOnePovm(d * d, m.weights, m.vectors @ rotation.T)
+        dist = frobenius_distance(realized_test(rotated, double=True).matrix,
+                                  invariant_test_double(d).matrix)
+        t_dev, cov_dev, _ = bell_certificate(rotated, rotated.n_elements, double=True)
+        assert cov_dev > 0.1
+        assert t_dev >= dist
+        assert i == 0 or dist <= 1e-12
 
 
 def test_group_pair_invariance(rng):

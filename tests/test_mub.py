@@ -3,12 +3,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import projected_span_ranks, random_unitary
+from conftest import (frobenius_distance, invariant_test_single,
+                      projected_span_ranks, random_unitary, realized_test)
 
-from entverify.linalg import frobenius_distance
 from entverify.mub import (MubFamily, mub_check, mub_povm, mub_prime,
                            pvm_count_bound, verify_mub_identity)
-from entverify.testops import invariant_test_single, realized_test
 
 
 def test_mub_d2_cross_overlaps():

@@ -3,38 +3,37 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import (BipartiteState, analytic_acceptance,
-                      dense_outcome_distribution, random_spectrum,
-                      random_unitary, state_with_min_eigenvalue, weyl_group)
+from conftest import (BipartiteState, acceptance_probability,
+                      analytic_acceptance, dense_outcome_distribution,
+                      dense_rho, invariant_test_double, invariant_test_single,
+                      max_entangled, permute_subsystems, random_spectrum,
+                      random_unitary, realized_test, require_psd,
+                      state_with_min_eigenvalue, weyl_group)
 
 from entverify.clifford import clifford_povm, enumerate_clifford
-from entverify.linalg import require_psd
 from entverify.mub import mub_povm, mub_prime
 from entverify.protocol import (MAX_SHOTS, BellDiagonalState,
                                 double_isotropic_state, isotropic_state,
                                 outcome_distribution, run_protocol)
 from entverify.sic import get_fiducial, known_fiducial, weyl_orbit
-from entverify.testops import (RankOnePovm, acceptance_probability,
-                               invariant_test_double, invariant_test_single,
-                               max_entangled, permute_subsystems,
-                               realized_test)
+from entverify.testops import RankOnePovm
 
 
 def test_isotropic_pure_limit():
     phi = max_entangled(2)
     s = isotropic_state(2, 1.0)
-    assert np.allclose(s.rho, np.outer(phi, phi.conj()))
+    assert np.allclose(dense_rho(s), np.outer(phi, phi.conj()))
 
 
 def test_isotropic_mixed_point():
     # coefficients coincide at fidelity 1/d^2
     s = isotropic_state(3, 1 / 9)
-    assert np.allclose(s.rho, np.eye(9) / 9)
+    assert np.allclose(dense_rho(s), np.eye(9) / 9)
 
 
 def test_isotropic_eigenvalues():
     s = isotropic_state(2, 0.7)
-    vals = np.sort(np.linalg.eigvalsh(s.rho))[::-1]
+    vals = np.sort(np.linalg.eigvalsh(dense_rho(s)))[::-1]
     assert np.allclose(vals, [0.7, 0.1, 0.1, 0.1])
 
 
@@ -46,8 +45,8 @@ def test_rho_matches_dense_construction(d):
     for f in (0.0, 1 / (d * d), 0.37, 0.8, 1.0):
         rho = f * p + (1 - f) * (np.eye(d * d) - p) / (d * d - 1)
         double = permute_subsystems(np.kron(rho, rho), [d, d, d, d], [0, 2, 1, 3])
-        assert np.max(np.abs(isotropic_state(d, f).rho - rho)) <= 1e-15
-        assert np.max(np.abs(double_isotropic_state(d, f).rho - double)) <= 1e-15
+        assert np.max(np.abs(dense_rho(isotropic_state(d, f)) - rho)) <= 1e-15
+        assert np.max(np.abs(dense_rho(double_isotropic_state(d, f)) - double)) <= 1e-15
 
 
 def test_isotropic_rejects_bad_fidelity():
@@ -222,10 +221,10 @@ def test_spectrum_within_tolerance_is_accepted():
     assert BellDiagonalState(2, np.full((4, 4), 1 / 16)).party_structure == "double"
 
 
-def reference_outcome_distribution(m, s):
-    """The n x d x d conditional-state einsum path the GEMM path replaced."""
+def reference_outcome_distribution(m, rho):
+    """The n x d x d conditional-state einsum path the GEMM path replaced, on a dense rho."""
     dim = m.dim
-    r = s.rho.reshape(dim, dim, dim, dim)
+    r = rho.reshape(dim, dim, dim, dim)
     sigma = np.einsum("ia,abcd,ic->ibd", m.vectors.conj(), r, m.vectors)
     tr = np.einsum("ibb->i", sigma).real
     q = np.clip(m.weights * tr, 0, None)
@@ -255,7 +254,7 @@ def _povm_and_state(rng, party):
 def test_outcome_distribution_matches_einsum_reference(rng, party):
     m, s = _povm_and_state(rng, party)
     q, accept = outcome_distribution(m, s)
-    q_ref, accept_ref = reference_outcome_distribution(m, s)
+    q_ref, accept_ref = reference_outcome_distribution(m, dense_rho(s))
     assert np.max(np.abs(q - q_ref)) <= 1e-13
     assert np.max(np.abs(accept - accept_ref)) <= 1e-13
     # the state is not isotropic, so the outcomes do not all accept alike
@@ -268,7 +267,7 @@ def test_dense_reference_matches_einsum_reference(rng, party):
     m = mub_povm(mub_prime(3)) if party == "single" else clifford_povm(enumerate_clifford(2))
     s = random_full_rank_state(rng, 3 if party == "single" else 2, party)
     q, accept = dense_outcome_distribution(m, s)
-    q_ref, accept_ref = reference_outcome_distribution(m, s)
+    q_ref, accept_ref = reference_outcome_distribution(m, s.rho)
     assert np.max(np.abs(q - q_ref)) <= 1e-13
     assert np.max(np.abs(accept - accept_ref)) <= 1e-13
     assert np.ptp(q) > 1e-3
@@ -294,7 +293,7 @@ def test_bell_path_matches_dense_reference(rng, scheme, d):
     party = "double" if scheme == "clifford" else "single"
     s = BellDiagonalState(d, random_spectrum(rng, d, party))
     q, accept = outcome_distribution(m, s)
-    q_ref, accept_ref = dense_outcome_distribution(m, BipartiteState(d, s.rho, party))
+    q_ref, accept_ref = dense_outcome_distribution(m, BipartiteState(d, dense_rho(s), party))
     assert np.max(np.abs(q - q_ref)) <= 1e-13
     assert np.max(np.abs(accept - accept_ref)) <= 1e-13
     assert np.ptp(accept) > 1e-3
@@ -390,7 +389,7 @@ def test_count_and_per_shot_samplers_within_5_sigma(rng, party):
 def test_analytic_is_trace_of_realized_test(rng, party):
     m, s = _povm_and_state(rng, party)
     t = run_protocol(m, s, 1000, 0)
-    expected = acceptance_probability(realized_test(m, double=(party == "double")), s.rho)
+    expected = acceptance_probability(realized_test(m, double=(party == "double")), dense_rho(s))
     assert abs(t.analytic - expected) <= 1e-12
 
 

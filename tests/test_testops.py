@@ -1,19 +1,21 @@
+from math import isqrt
+
 import numpy as np
 import pytest
-from conftest import (all_weyl, eigen_hermitian, random_ket,
+from conftest import (acceptance_probability, all_weyl, eigen_hermitian,
+                      frobenius_distance, invariant_test_double,
+                      invariant_test_single, max_entangled, paired_vectors,
+                      permute_subsystems, random_ket, realized_test,
                       state_with_min_eigenvalue)
 
 from entverify.clifford import clifford_povm, enumerate_clifford
-from entverify.linalg import frobenius_distance, numerical_rank
+from entverify.linalg import numerical_rank
 from entverify.mub import mub_povm, mub_prime
 from entverify.sic import (FiducialSearchConfig, known_fiducial,
                            search_fiducial, weyl_orbit)
 from entverify.testops import (CompletenessError, RankOnePovm,
-                               acceptance_probability, bell_certificate,
-                               bell_spectrum, fourier_matrix,
-                               invariant_test_double, invariant_test_single,
-                               max_entangled, paired_vectors,
-                               permute_subsystems, realized_test, weyl_traces)
+                               bell_certificate, bell_spectrum, fourier_matrix,
+                               weyl_traces)
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -238,12 +240,20 @@ def test_weyl_traces_match_einsum_reference(rng, d):
     assert np.max(np.abs(weyl_traces(m, fourier_matrix(d)) - reference)) <= 1e-12
 
 
-def _dense_bell(m):
-    """Bell-basis matrix of realized_test(m), Bell vector k = vec(W_k)/sqrt(d)."""
-    d = m.dim
-    bell = np.stack([w.reshape(-1) for w in all_weyl(d)], axis=1) / np.sqrt(d)
-    t = realized_test(m, require_complete=False).matrix
-    return bell.conj().T @ t @ bell, frobenius_distance(t, invariant_test_single(d).matrix)
+def _dense_bell(m, double=False):
+    """Bell-basis matrix of realized_test(m) and its distance to the invariant test.
+
+    The Bell vector of label k is vec(W_k)/sqrt(d) on one pair; that of the
+    label pair (k, l) is vec(W_k x W_l)/d on two pairs, in order A1,A2,B1,B2.
+    """
+    d = isqrt(m.dim) if double else m.dim
+    w = all_weyl(d)
+    if double:
+        w = np.einsum("kab,lce->klacbe", w, w).reshape(m.dim ** 2, m.dim, m.dim)
+    bell = np.stack([x.reshape(-1) for x in w], axis=1) / np.sqrt(m.dim)
+    t = realized_test(m, double=double, require_complete=False).matrix
+    target = (invariant_test_double if double else invariant_test_single)(d).matrix
+    return bell.conj().T @ t @ bell, frobenius_distance(t, target)
 
 
 BELL_CASES = {
@@ -258,7 +268,7 @@ def test_bell_certificate_matches_dense_reference(case):
     m, block = BELL_CASES[case]()
     t_bell, dist = _dense_bell(m)
     assert np.max(np.abs(bell_spectrum(m) - np.diag(t_bell).real)) <= 1e-14
-    t_dev, cov_dev = bell_certificate(m, block)
+    t_dev, cov_dev, _ = bell_certificate(m, block)
     assert abs(t_dev - dist) <= 1e-12
     assert cov_dev <= 1e-14
 
@@ -268,7 +278,7 @@ def test_bell_certificate_fails_covariant_wrong_test():
     # realized test projects onto the diagonal matrices, not onto the target
     m = RankOnePovm(5, np.ones(5), np.eye(5, dtype=complex))
     _, dist = _dense_bell(m)
-    t_dev, cov_dev = bell_certificate(m, 5)
+    t_dev, cov_dev, _ = bell_certificate(m, 5)
     assert dist == pytest.approx(1.8257, abs=1e-4)
     assert abs(t_dev - dist) <= 1e-12
     assert cov_dev <= 1e-14
@@ -285,9 +295,47 @@ def test_bell_certificate_bounds_dense_distance_when_not_covariant(rng, scale):
     w = m.weights * (1 + scale * rng.uniform(-1, 1, m.n_elements))
     perturbed = RankOnePovm(3, w, v, check_completeness=False)
     _, dist = _dense_bell(perturbed)
-    t_dev, cov_dev = bell_certificate(perturbed, 3)
+    t_dev, cov_dev, _ = bell_certificate(perturbed, 3)
     assert cov_dev > scale / 10
     assert t_dev >= dist
+
+
+@pytest.mark.parametrize("d", (2, 3))
+def test_two_pair_bell_certificate_matches_dense_reference(d):
+    m = clifford_povm(enumerate_clifford(d))
+    t_bell, dist = _dense_bell(m, double=True)
+    spectrum = bell_spectrum(m, double=True)
+    assert spectrum.shape == (d * d, d * d)
+    assert np.max(np.abs(spectrum.ravel() - np.diag(t_bell).real)) <= 1e-14
+    t_dev, cov_dev, trace_dev = bell_certificate(m, m.n_elements, double=True)
+    assert abs(t_dev - dist) <= 1e-12
+    assert cov_dev <= 1e-14
+    assert trace_dev <= 1e-12
+
+
+@pytest.mark.parametrize("scale", (1e-8, 1e-5, 1e-3))
+@pytest.mark.parametrize("d", (2, 3))
+@pytest.mark.parametrize("side", ("A1A2", "A1", "A2"))
+def test_two_pair_bell_certificate_bounds_dense_distance(rng, side, d, scale):
+    # perturbed orbit vectors (and weights): T gets an off-diagonal part on the
+    # two-pair Bell basis, which the four-generator bound must cover; a
+    # perturbation on A1 or A2 alone commutes with the generators on the
+    # other factor, so only those on its own factor see it
+    m = clifford_povm(enumerate_clifford(d))
+    if side == "A1A2":
+        v = m.vectors + scale * (rng.standard_normal(m.vectors.shape)
+                                 + 1j * rng.standard_normal(m.vectors.shape))
+        w = m.weights * (1 + scale * rng.uniform(-1, 1, m.n_elements))
+    else:
+        g = np.eye(d) + scale * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        a = np.kron(g, np.eye(d)) if side == "A1" else np.kron(np.eye(d), g)
+        v, w = m.vectors @ a.T, m.weights
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    perturbed = RankOnePovm(d * d, w, v, check_completeness=False)
+    _, dist = _dense_bell(perturbed, double=True)
+    t_dev, cov_dev, _ = bell_certificate(perturbed, perturbed.n_elements, double=True)
+    assert cov_dev > scale / 10
+    assert dist <= t_dev <= 100 * dist
 
 
 @pytest.mark.parametrize("lam_min,ok", [(-10e-10, False), (-0.1e-10, True)])
