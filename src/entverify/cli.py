@@ -40,7 +40,7 @@ class Scheme:
 
     max_d: int
     prime: bool
-    build: Callable    # (d, args) -> fiducial, MUB family or group
+    build: Callable    # (d, args) -> fiducial, MUB family or group elements
     povm: Callable     # built data -> RankOnePovm
     certify: Callable  # (d, built data) -> VerificationReport
     state: Callable    # (d, fidelity) -> the state that simulate tests
@@ -56,19 +56,13 @@ def _search_config(args) -> sic.FiducialSearchConfig:
         raise UsageError(str(exc)) from exc
 
 
-def _certify_clifford(d: int, group: clifford.CliffordGroup) -> VerificationReport:
-    if d in clifford.IDENTITY_DS:
-        return clifford.verify_clifford_identity(d, group)
-    return clifford.verify_clifford_group(d, group)[0]
-
-
 SCHEMES = {
     "sic": Scheme(12, False, lambda d, args: sic.get_fiducial(d, _search_config(args)),
                   sic.weyl_orbit, sic.verify_sic_identity, protocol.isotropic_state),
     "mub": Scheme(64, True, lambda d, args: mub.mub_prime(d), mub.mub_povm,
                   mub.verify_mub_identity, protocol.isotropic_state),
     "clifford": Scheme(5, True, lambda d, args: clifford.enumerate_clifford(d),
-                       clifford.clifford_povm, _certify_clifford,
+                       clifford.clifford_povm, clifford.verify_clifford_identity,
                        protocol.double_isotropic_state),
 }
 

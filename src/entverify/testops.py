@@ -31,9 +31,9 @@ BELL_CHUNK = 2 ** 16   # complex entries per chunk of the Weyl transforms
 class CompletenessError(ValueError):
     """A rank-one POVM whose elements do not sum to the identity."""
 
-    def __init__(self, defect: float, message: str | None = None):
+    def __init__(self, defect: float):
         self.defect = float(defect)
-        super().__init__(message or f"POVM completeness defect {self.defect:.3e} exceeds {COMPLETENESS_TOL:.0e}")
+        super().__init__(f"POVM completeness defect {self.defect:.3e} exceeds {COMPLETENESS_TOL:.0e}")
 
 
 @dataclass(eq=False)

@@ -4,7 +4,7 @@ from math import isqrt
 import numpy as np
 import pytest
 
-from entverify.clifford import CliffordGroup, canonicalize_phase, weyl
+from entverify.clifford import canonicalize_phase, weyl
 from entverify.linalg import numerical_rank, require_finite, require_hermitian
 from entverify.protocol import MARGINAL_TOL, ZERO_OUTCOME_TOL
 from entverify.testops import (COMPLETENESS_TOL, CompletenessError, RankOnePovm,
@@ -237,9 +237,9 @@ def state_with_min_eigenvalue(rng: np.random.Generator, n: int, lam_min: float) 
     return (rho + rho.conj().T) / 2
 
 
-def weyl_group(d: int) -> CliffordGroup:
-    """The d^2 canonicalized Weyl operators as a group (negative-control subgroup)."""
-    return CliffordGroup(d, canonicalize_phase(all_weyl(d)))
+def weyl_group(d: int) -> np.ndarray:
+    """The d^2 canonicalized Weyl operators, stacked [d^2, d, d] (negative-control subgroup)."""
+    return canonicalize_phase(all_weyl(d))
 
 
 @dataclass(eq=False)

@@ -160,8 +160,8 @@ def test_criterion_09_pair_action_invariance():
     rng = np.random.default_rng(7)
     moves = []
     for _ in range(20):
-        g1 = g.elements[rng.integers(len(g))]
-        g2 = g.elements[rng.integers(len(g))]
+        g1 = g[rng.integers(len(g))]
+        g2 = g[rng.integers(len(g))]
         k = np.kron(np.kron(g1, g2.conj()), np.kron(g1.conj(), g2))
         moves.append(frobenius_distance(k @ t @ k.conj().T, t))
     assert max(moves) < 1e-9, f"max move {max(moves):.3e}"

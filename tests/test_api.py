@@ -4,6 +4,7 @@ import re
 from pathlib import Path
 
 import entverify
+from entverify.cli import SCHEMES
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -16,3 +17,9 @@ def test_public_names_resolve_and_readme_example_runs():
     assert block and "\n## " not in text[library + 1:block.start()]
     # padded so that a traceback names the README's own line numbers
     exec(compile("\n" * text.count("\n", 0, block.start(1)) + block.group(1), str(README), "exec"), {})
+
+
+def test_every_scheme_certifies_through_a_public_function():
+    assert [name for name, scheme in SCHEMES.items()
+            if scheme.certify.__name__ not in entverify.__all__
+            or getattr(entverify, scheme.certify.__name__) is not scheme.certify] == []

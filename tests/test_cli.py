@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+from entverify import clifford
 from entverify.cli import SCHEMES, build_parser, main
 from entverify.jsonio import (dump_povm, pairs_to_vector, povm_from_dict,
                               vector_to_pairs)
@@ -169,6 +170,16 @@ def test_verify_clifford_d2_check_names(capsys):
     assert {"completeness_defect", "char_moment1_dev", "char_moment2_dev",
             "t_identity_dev", "trace_dev", "cardinality_dev"} <= names
     assert doc["metadata"]["elements"] == 24
+
+
+@pytest.mark.parametrize("d", (2, 3, 5))
+def test_verify_clifford_json_is_the_library_report(d, capsys):
+    code, doc = run_json(capsys, ["verify", "clifford", "--d", str(d), "--json"])
+    assert code == 0
+    for key in ("seed", "version", "created"):
+        del doc["metadata"][key]
+    report = clifford.verify_clifford_identity(d, clifford.enumerate_clifford(d))
+    assert doc == json.loads(json.dumps(report.to_dict()))
 
 
 @pytest.mark.parametrize("scheme", ["sic", "mub", "clifford"])

@@ -10,8 +10,8 @@ from entverify.clifford import (NORMALIZER_TOL, canonicalize_phase,
                                 clifford_generators, clifford_povm,
                                 enumerate_clifford, is_prime,
                                 normalizes_weyl_group, pair_product_counts,
-                                quantized_key, verify_clifford_group,
-                                verify_clifford_identity, weyl)
+                                quantized_key, verify_clifford_identity,
+                                weyl)
 from entverify.testops import RankOnePovm, bell_certificate, chunks
 
 
@@ -22,9 +22,9 @@ def brute_force_pair_count(n, d):
 def group_contains(group, u, atol=1e-8):
     """Whether u equals, up to phase, an element of the group (found by its hash key)."""
     c = canonicalize_phase(u)
-    index = {key: i for i, key in enumerate(quantized_key(group.elements))}
+    index = {key: i for i, key in enumerate(quantized_key(group))}
     i = index.get(quantized_key(c))
-    return i is not None and np.allclose(group.elements[i], c, atol=atol)
+    return i is not None and np.allclose(group[i], c, atol=atol)
 
 
 def reference_cardinality(d):
@@ -176,8 +176,8 @@ def test_enumeration_size(d, size):
 def test_enumeration_matches_per_product_reference(d):
     elements, keys = reference_closure(d)
     group = enumerate_clifford(d)
-    assert quantized_key(group.elements) == keys
-    assert np.max(np.abs(group.elements - elements)) <= 1e-14
+    assert quantized_key(group) == keys
+    assert np.max(np.abs(group - elements)) <= 1e-14
 
 
 def test_enumeration_closure_random_products(rng):
@@ -185,8 +185,8 @@ def test_enumeration_closure_random_products(rng):
         group = enumerate_clifford(d)
         n = len(group)
         for _ in range(200):
-            u = group.elements[rng.integers(n)]
-            v = group.elements[rng.integers(n)]
+            u = group[rng.integers(n)]
+            v = group[rng.integers(n)]
             assert group_contains(group, u @ v)
 
 
@@ -194,7 +194,7 @@ def test_enumeration_elements_normalize_weyl():
     group = enumerate_clifford(2)
     w10 = weyl(2, 1, 0)
     labels = all_weyl(2)
-    for u in group.elements:
+    for u in group:
         conj = u @ w10 @ u.conj().T
         coeffs = np.einsum("ij,kij->k", conj, labels.conj()) / 2
         assert np.max(np.abs(coeffs)) > 1 - 1e-10
@@ -251,9 +251,11 @@ def test_verify_identity_d3():
     assert report.check("weyl_covariance_dev").measured < 1e-10
 
 
-def test_verify_identity_rejects_large_d():
-    with pytest.raises(ValueError):
-        verify_clifford_identity(5)
+def test_verify_identity_d5_reports_group_checks():
+    report = verify_clifford_identity(5)
+    assert report.overall
+    assert [c.name for c in report.checks] == ["cardinality_dev", "completeness_defect",
+                                               "char_moment1_dev", "char_moment2_dev"]
 
 
 def test_weyl_subgroup_negative_control():
@@ -295,16 +297,16 @@ def test_group_pair_invariance(rng):
     t = realized_test(clifford_povm(group), double=True).matrix
     n = len(group)
     for _ in range(20):
-        g1 = group.elements[rng.integers(n)]
-        g2 = group.elements[rng.integers(n)]
+        g1 = group[rng.integers(n)]
+        g2 = group[rng.integers(n)]
         k = np.kron(np.kron(g1, g2.conj()), np.kron(g1.conj(), g2))
         assert frobenius_distance(k @ t @ k.conj().T, t) < 1e-9
 
 
 def test_verify_group_d5_checks():
-    report, group = verify_clifford_group(5)
+    report = verify_clifford_identity(5)
     assert report.overall
-    assert len(group) == 3000
+    assert report.metadata["elements"] == 3000
 
 
 def dense_normalizes(us):
@@ -317,7 +319,7 @@ def dense_normalizes(us):
 
 def normalizer_cases(rng, d):
     """(unitaries, expected verdicts): Clifford elements and non-Clifford unitaries."""
-    elements = enumerate_clifford(d).elements
+    elements = enumerate_clifford(d)
     f = np.exp(2j * np.pi * np.outer(np.arange(d), np.arange(d)) / d) / np.sqrt(d)
     diagonal = np.diag(np.exp(2j * np.pi * rng.uniform(size=d)))    # commutes with Z
     circulant = f.conj().T @ diagonal @ f                             # commutes with X
@@ -343,7 +345,7 @@ def test_normalizer_matches_all_label_reference(rng, d):
 def test_normalizer_chunk_boundaries(rng, d):
     # a stack of Clifford elements over more than two chunks, with a random
     # unitary planted at the first element of the last chunk and at the last
-    elements = enumerate_clifford(d).elements
+    elements = enumerate_clifford(d)
     step = chunks(1, 2 * d * d)[0].stop
     n = 2 * step + 7
     assert [part.start for part in chunks(n, 2 * d * d)] == [0, step, 2 * step]
