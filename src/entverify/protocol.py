@@ -10,12 +10,20 @@ shots one by one, at a cost independent of the shot count. Every state
 simulated is Bell-diagonal, and Bob's conditional acceptance is computed
 exactly from its Bell spectrum through the Weyl transforms of `testops`; no
 density operator is formed.
-Randomness comes from numpy's Philox generator (a published counter-based
-64-bit generator), so transcripts are reproducible bit-for-bit from the seed.
+
+Randomness comes from Python's `random.Random(seed)`, the one generator of the
+package, through the exact binomial sampler `_binomial` below (Devroye's
+geometric method for small means, Hormann's BTRS otherwise), so transcripts
+are reproducible bit for bit from the seed. numpy.random is never imported:
+it would add about 6 MB and 15 ms to each simulate process, more than the
+sampling costs at 10^7 shots.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +34,7 @@ from .testops import RankOnePovm, squared_weyl_overlaps
 ZERO_OUTCOME_TOL = 1e-15
 MARGINAL_TOL = 1e-9
 SPECTRUM_TOL = 1e-10
-MAX_SHOTS = 2 ** 63 - 1   # counts are sampled as int64
+MAX_SHOTS = 2 ** 63 - 1   # counts are returned as int64
 
 
 @dataclass(eq=False)
@@ -135,25 +143,121 @@ def outcome_distribution(m: RankOnePovm, s: BellDiagonalState) -> tuple[np.ndarr
     return q, accept
 
 
+def _stirling_tail(k: int) -> float:
+    """lgamma(k + 1) - ((k + 1/2) log(k + 1) - (k + 1) + log(2 pi) / 2), for int k >= 0."""
+    if k < 10:
+        return _STIRLING_TAIL[k]
+    z2 = float(k + 1) ** 2
+    return (1 / 12 - (1 / 360 - 1 / (1260 * z2)) / z2) / (k + 1)
+
+
+_STIRLING_TAIL = [math.lgamma(k + 1) - (k + 0.5) * math.log(k + 1) + (k + 1)
+                  - 0.5 * math.log(2 * math.pi) for k in range(10)]
+
+
+def _log_pmf_ratio(n: int, pa: int, qa: int, m: int, k: int) -> float:
+    """log(f(k) / f(m)) for the Binomial(n, p) pmf f, where p / (1 - p) = pa / qa.
+
+    Hormann's Stirling-tail form of lgamma(m+1) + lgamma(n-m+1) - lgamma(k+1)
+    - lgamma(n-k+1) + (k-m) log(pa/qa), with each logarithm written as the
+    log1p of a correctly rounded ratio of integers. The lgamma form subtracts
+    numbers near n log n (4e20 at n = 2**63, where doubles are 65536 apart);
+    here each term is of order |k - m| + 1 and has a relative error near 1e-16.
+    """
+    return ((m + 0.5) * math.log1p(((m + 1) * qa - pa * (n - m + 1)) / (pa * (n - m + 1)))
+            + (n + 1) * math.log1p((k - m) / (n - k + 1))
+            + (k + 0.5) * math.log1p((pa * (n - k + 1) - qa * (k + 1)) / (qa * (k + 1)))
+            + _stirling_tail(m) + _stirling_tail(n - m) - _stirling_tail(k) - _stirling_tail(n - k))
+
+
+def _binomial(rng: random.Random, n: int, p: float) -> int:
+    """One Binomial(n, p) draw from rng, for any int n >= 0 and p in [0, 1].
+
+    Draws n - B(n, 1 - p) when p > 1/2. Then Devroye's geometric method
+    (the gaps between successes) when n p < 10, else Hormann's BTRS, the
+    transformed rejection with squeeze of "The generation of binomial random
+    variates" (1993). n stays a Python int: BTRS places its draws at the mode
+    m = floor((n + 1) p), computed exactly from p's binary fraction, so counts
+    are exact up to MAX_SHOTS, also where n p is no longer a double.
+    """
+    if n == 0 or p <= 0.0:
+        return 0
+    if p >= 1.0:
+        return n
+    if p > 0.5:
+        return n - _binomial(rng, n, 1.0 - p)
+    if n * p < 10.0:
+        log_q = math.log1p(-p)
+        x = y = 0
+        while True:
+            gap = math.log(1.0 - rng.random()) / log_q   # 1 - random() is never 0
+            if gap >= n - y:
+                return x
+            y += math.floor(gap) + 1
+            x += 1
+    spq = math.sqrt(n * p * (1.0 - p))
+    b = 1.15 + 2.53 * spq
+    a = -0.0873 + 0.0248 * b + 0.01 * p
+    alpha = (2.83 + 5.1 / b) * spq
+    vr = 0.92 - 4.2 / b
+    pa, pb = p.as_integer_ratio()
+    m = (n + 1) * pa // pb
+    c = (2 * (n * pa - m * pb) + pb) / (2 * pb)   # n p + 1/2 - m
+    while True:
+        u = rng.random() - 0.5
+        us = 0.5 - abs(u)
+        if us == 0.0:   # u = -1/2 maps to k = -inf
+            continue
+        k = m + math.floor((2.0 * a / us + b) * u + c)
+        if k < 0 or k > n:
+            continue
+        v = 1.0 - rng.random()   # uniform on (0, 1], so its log is finite
+        if us >= 0.07 and v <= vr:
+            return k
+        if math.log(v * alpha / (a / (us * us) + b)) <= _log_pmf_ratio(n, pa, pb - pa, m, k):
+            return k
+
+
+def _multinomial(rng: random.Random, n: int, q: np.ndarray) -> list[int]:
+    """Multinomial(n, q / q.sum()) counts as Python ints, by conditional binomials.
+
+    Outcome i of the support q > 0 draws from the shots left with probability
+    q_i over the mass of the support from i on, in index order; the last
+    support outcome takes the remainder, so an outcome with q_i = 0 never gets
+    a count. The mass is a suffix sum, so each ratio lies in [0, 1].
+    """
+    counts = [0] * len(q)
+    support = np.flatnonzero(q > 0)
+    mass = np.cumsum(q[support][::-1])[::-1]
+    left = n
+    for i, qi, rest in zip(support[:-1].tolist(), q[support[:-1]].tolist(), mass[:-1].tolist()):
+        counts[i] = _binomial(rng, left, qi / rest)
+        left -= counts[i]
+        if left == 0:
+            return counts
+    counts[support[-1]] = left
+    return counts
+
+
 def run_protocol(m: RankOnePovm, s: BellDiagonalState, shots: int, seed: int) -> ProtocolTranscript:
     """Simulate the two-step protocol for a number of shots, deterministically in seed.
 
     Draws the outcome histogram counts ~ Multinomial(shots, q) and the accept
-    count as the sum over outcomes of Binomial(counts_i, accept_i), both from
-    one Philox stream: time and memory grow with the number of outcomes, not
-    with shots.
+    count as the sum over outcomes with counts_i > 0 of Binomial(counts_i,
+    accept_i), both from one random.Random(seed) stream: time and memory grow
+    with the number of outcomes, not with shots. seed is a non-negative integer.
     """
     if shots < 1:
         raise ValueError("shots must be at least 1")
     if shots > MAX_SHOTS:
         raise ValueError(f"shots must be at most {MAX_SHOTS}")
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    seed = int(seed)
     q, accept = outcome_distribution(m, s)
     analytic = float(q @ accept)   # = Tr(T rho) for the test T the POVM realizes
-    rng = np.random.Generator(np.random.Philox(seed))
-    # only outcomes of positive probability enter the multinomial, so rounding
-    # in its running remainder can never put a count on an impossible outcome
-    support = q > 0
-    counts = np.zeros(m.n_elements, dtype=np.int64)
-    counts[support] = rng.multinomial(shots, q[support] / q[support].sum())
-    n_accept = int(rng.binomial(counts, accept).sum())
-    return ProtocolTranscript(shots, seed, counts, n_accept, n_accept / shots, analytic)
+    rng = random.Random(seed)
+    counts = _multinomial(rng, shots, q)
+    n_accept = sum(_binomial(rng, c, a) for c, a in zip(counts, accept.tolist()) if c)
+    return ProtocolTranscript(shots, seed, np.array(counts, dtype=np.int64), n_accept,
+                              n_accept / shots, analytic)

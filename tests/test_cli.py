@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +23,16 @@ def home(tmp_path, monkeypatch):
     home.mkdir()
     monkeypatch.setenv("HOME", str(home))
     return home
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_python(args, cwd):
+    """Run `python args` in a new process with this checkout's source on the path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, timeout=120)
 
 
 def run_json(capsys, argv):
@@ -363,3 +377,45 @@ def test_unwritable_out_path_is_io_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 4
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+NUMPY_RANDOM_PROBE = """
+import contextlib, io, json, sys
+import numpy
+alone = "numpy.random" in sys.modules
+from entverify.cli import main
+codes = []
+for scheme, d in (("sic", "4"), ("mub", "3"), ("clifford", "2")):
+    for argv in (["gen", scheme, "--d", d], ["verify", scheme, "--d", d],
+                 ["simulate", "--scheme", scheme, "--d", d, "--fidelity", "0.8",
+                  "--shots", "10000000"]):
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes.append(main(argv))
+with contextlib.redirect_stdout(io.StringIO()):
+    codes.append(main(["count", "--d", "3", "--enumerate"]))
+print(json.dumps({"alone": alone, "codes": codes,
+                  "loaded": sorted(m for m in sys.modules if m.startswith("numpy.random"))}))
+"""
+
+
+def test_no_command_imports_numpy_random(tmp_path):
+    # a process of its own: the test session has numpy.random loaded already
+    proc = run_python(["-c", NUMPY_RANDOM_PROBE], tmp_path)
+    assert proc.returncode == 0, proc.stderr.decode()
+    doc = json.loads(proc.stdout)
+    if doc["alone"]:
+        pytest.skip("this numpy loads numpy.random on import")
+    # gen, verify and count exit 0; simulate exits 0, or 1 on a 3-sigma miss
+    assert all(code == 0 for i, code in enumerate(doc["codes"]) if i % 3 != 2)
+    assert all(code in (0, 1) for code in doc["codes"][2::3])
+    assert doc["loaded"] == []
+
+
+@pytest.mark.parametrize("scheme,d", [("sic", "2"), ("mub", "5"), ("clifford", "2")])
+def test_simulate_is_byte_identical_across_processes(scheme, d, tmp_path, capsys):
+    argv = ["simulate", "--scheme", scheme, "--d", d, "--fidelity", "0.8",
+            "--shots", "10000000", "--seed", "5", "--json"]
+    first, second = (run_python(["-m", "entverify.cli", *argv], tmp_path) for _ in range(2))
+    assert first.returncode == second.returncode == main(argv)
+    assert first.stdout == second.stdout == capsys.readouterr().out.encode()
+    assert sum(json.loads(first.stdout)["outcome_histogram"]) == 10 ** 7

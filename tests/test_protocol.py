@@ -1,3 +1,5 @@
+import math
+import random
 import time
 import tracemalloc
 
@@ -12,9 +14,10 @@ from conftest import (BipartiteState, acceptance_probability,
 
 from entverify.clifford import clifford_povm, enumerate_clifford
 from entverify.mub import mub_povm, mub_prime
-from entverify.protocol import (MAX_SHOTS, BellDiagonalState,
-                                double_isotropic_state, isotropic_state,
-                                outcome_distribution, run_protocol)
+from entverify.protocol import (MAX_SHOTS, BellDiagonalState, _binomial,
+                                _log_pmf_ratio, double_isotropic_state,
+                                isotropic_state, outcome_distribution,
+                                run_protocol)
 from entverify.sic import get_fiducial, known_fiducial, weyl_orbit
 from entverify.testops import RankOnePovm
 
@@ -432,3 +435,108 @@ def test_state_psd_rule_matches_eigvalsh(rng, d, structure, lam_min, ok):
     else:
         with pytest.raises(ValueError, match="positive semi-definite"):
             require_psd(rho, 1e-10, name="state")
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, 2.0, "3", None])
+def test_run_protocol_rejects_bad_seed(seed):
+    m = mub_povm(mub_prime(2))
+    with pytest.raises(ValueError, match="seed must be a non-negative integer") as info:
+        run_protocol(m, isotropic_state(2, 0.8), 100, seed)
+    assert "\n" not in str(info.value)
+
+
+def test_numpy_integer_seed_is_the_int_seed():
+    m = mub_povm(mub_prime(3))
+    s = isotropic_state(3, 0.8)
+    t1, t2 = run_protocol(m, s, 10 ** 6, np.int64(5)), run_protocol(m, s, 10 ** 6, 5)
+    assert t1.to_dict() == t2.to_dict() and type(t1.seed) is int
+
+
+def _binomial_pmf(n, p):
+    return [math.comb(n, k) * p ** k * (1 - p) ** (n - k) for k in range(n + 1)]
+
+
+def _chi_square_upper(df, z=3.719):
+    """Wilson-Hilferty approximation of the chi-square quantile at normal z (1 - 1e-4)."""
+    h = 2 / (9 * df)
+    return df * (1 - h + z * math.sqrt(h)) ** 3
+
+
+@pytest.mark.parametrize("n,p,branch", [(1000, 0.005, "geometric"), (50, 0.3, "btrs"),
+                                        (25, 0.4, "btrs"), (40, 0.9, "reflected geometric"),
+                                        (60, 0.75, "reflected btrs")])
+def test_binomial_matches_exact_pmf(n, p, branch):
+    draws = 20_000
+    rng = random.Random(1234)
+    hist = np.bincount([_binomial(rng, n, p) for _ in range(draws)], minlength=n + 1)
+    expected = draws * np.array(_binomial_pmf(n, p))
+    # pool each tail into its neighbour until every cell expects at least 5
+    cells, obs, exp = [], 0, 0.0
+    for o, e in zip(hist, expected):
+        obs, exp = obs + o, exp + e
+        if exp >= 5:
+            cells.append((obs, exp))
+            obs, exp = 0, 0.0
+    cells[-1] = (cells[-1][0] + obs, cells[-1][1] + exp)
+    chi2 = sum((o - e) ** 2 / e for o, e in cells)
+    assert chi2 < _chi_square_upper(len(cells) - 1), f"{branch}: chi2 {chi2:.1f} over {len(cells)} cells"
+
+
+def test_binomial_exact_edges():
+    rng = random.Random(0)
+    for p in (0.0, 0.3, 0.5, 0.9, 1.0):
+        assert _binomial(rng, 0, p) == 0
+    for n in (1, 7, 10 ** 12, MAX_SHOTS):
+        assert _binomial(rng, n, 0.0) == 0
+        assert _binomial(rng, n, 1.0) == n
+    for p in (1e-300, 0.3, 0.5, 0.9, 1 - 1e-16):
+        ones = [_binomial(rng, 1, p) for _ in range(2000)]
+        assert set(ones) <= {0, 1}
+        assert abs(sum(ones) - 2000 * p) <= 5 * math.sqrt(2000 * p * (1 - p)) + 1e-9
+
+
+@pytest.mark.parametrize("n,p", [(10 ** 12, 0.1234), (10 ** 12, 0.7), (MAX_SHOTS, 0.3),
+                                 (MAX_SHOTS, 0.5), (MAX_SHOTS, 5e-19), (MAX_SHOTS, 3e-18)])
+def test_binomial_mean_at_huge_n(n, p):
+    draws = 400
+    rng = random.Random(99)
+    xs = [_binomial(rng, n, p) for _ in range(draws)]
+    assert all(type(x) is int and 0 <= x <= n for x in xs)
+    sigma = math.sqrt(n * p * (1 - p))
+    mean = sum(xs) / draws
+    assert abs(mean - n * p) <= 5 * sigma / math.sqrt(draws)
+    # the spread is the binomial one, not a rounding grid or a broken squeeze
+    sd = math.sqrt(sum((x - mean) ** 2 for x in xs) / (draws - 1))
+    assert 0.8 < sd / sigma < 1.2
+    if n * p > 2 ** 53:
+        # draws land on every integer, not only on doubles near n p
+        assert any(float(x) != x for x in xs)
+
+
+@pytest.mark.parametrize("n,p", [(50, 0.3), (25, 0.4), (1000, 0.2), (3000, 0.5)])
+def test_log_pmf_ratio_matches_exact(n, p):
+    pa, pb = p.as_integer_ratio()
+    qa = pb - pa
+    m = (n + 1) * pa // pb
+    sigma = math.sqrt(n * p * (1 - p))
+    for k in {0, n, m, m + 1, max(m - int(3 * sigma), 0), min(m + int(4 * sigma), n)}:
+        # log of C(n,k) pa^k qa^(n-k) / (C(n,m) pa^m qa^(n-m)), from exact integers
+        exact = (math.log(math.comb(n, k) * pa ** k * qa ** (n - k))
+                 - math.log(math.comb(n, m) * pa ** m * qa ** (n - m)))
+        assert abs(_log_pmf_ratio(n, pa, qa, m, k) - exact) <= 1e-10 * max(1.0, abs(exact))
+
+
+@pytest.mark.parametrize("p", [0.3, 0.5, 1 / 3])
+def test_log_pmf_ratio_at_max_shots(p):
+    # lgamma(n + 1) is about 4e20 here, so the lgamma form is off by hundreds
+    mpmath = pytest.importorskip("mpmath")
+    n = MAX_SHOTS
+    pa, pb = p.as_integer_ratio()
+    m = (n + 1) * pa // pb
+    sigma = math.sqrt(n * p * (1 - p))
+    for dk in (0, 1, -int(sigma), int(2 * sigma), -int(3 * sigma)):
+        k = m + dk
+        with mpmath.workdps(60):
+            exact = (mpmath.loggamma(m + 1) + mpmath.loggamma(n - m + 1) - mpmath.loggamma(k + 1)
+                     - mpmath.loggamma(n - k + 1) + (k - m) * mpmath.log(mpmath.mpf(pa) / (pb - pa)))
+        assert abs(_log_pmf_ratio(n, pa, pb - pa, m, k) - float(exact)) <= 1e-6
