@@ -11,7 +11,9 @@ every run; nothing is stored between runs.
 Exit codes: 0 success, 1 verification or consistency failure, 2 usage error,
 3 fiducial search failure, 4 I/O error (a file that cannot be written or read).
 
-`count` takes 2 <= d <= COUNT_MAX_D (4096); its pair counts cost O(d^2).
+`count` takes 2 <= d <= COUNT_MAX_D (4096); its pair counts cost O(d^2). It
+enumerates the Clifford group as a cross-check always at d = 2, 3, at d = 5
+only with --enumerate, and never at any other d (enumerated is then null).
 """
 
 from __future__ import annotations

@@ -233,18 +233,13 @@ def verify_clifford_identity(d: int, group: np.ndarray | None = None) -> Verific
     (t_identity_dev); trace_dev is read from the spectrum sum. Nothing of
     dimension d^4 is formed.
 
-    d = 5 stays out by cost (in process on a 2-CPU VM). The covariance check
-    is cheap once the orbit is sorted into Weyl cosets {W_k C} of d^2 = 25
-    elements, which X x I, Z x I, I x X and I x Z map onto themselves:
-    block=25 took 0.020 s instead of 0.89 s for the whole-orbit Grams, with
-    the same deviation (1.4e-15) and bound. The two-pair spectrum takes
-    0.05-0.22 s (0.047 s, bit-identical, with a contiguous reshape(-1, d) @
-    dft layout in pair_weyl_overlaps). A prototype with all three steps, its
-    coset labels from a separate pass, still moved `verify clifford --d 5`
-    from 0.323 to 0.432 s median per process and its peak RSS from 38.4 to
-    48.0 MB, past the benchmark's 25 % command-time and 10 % memory bounds;
-    the label pass alone added 6.7 MB, so the labels should come from the
-    chunked normalizer pass of enumerate_clifford.
+    d = 5 stays out by cost (in process on a 2-CPU VM). The covariance Grams
+    take 0.89 s over the whole orbit and 0.020 s over its Weyl cosets {W_k C}
+    of d^2 = 25 elements, which X x I, Z x I, I x X and I x Z map onto
+    themselves; the two-pair spectrum takes 0.10-0.14 s. The coset labels
+    should come from the chunked normalizer pass of enumerate_clifford: a
+    separate label pass moved `verify clifford --d 5` past the benchmark's
+    25 % command-time and 10 % memory bounds.
     """
     if group is None:
         group = enumerate_clifford(d)

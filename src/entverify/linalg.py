@@ -1,6 +1,8 @@
-"""Dense complex linear algebra primitives shared by every scheme module."""
+"""Dense complex linear algebra primitives and input checks shared by every scheme module."""
 
 from __future__ import annotations
+
+import numbers
 
 import numpy as np
 
@@ -13,6 +15,13 @@ def require_finite(a: np.ndarray, name: str = "array") -> np.ndarray:
     if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
         raise ValueError(f"{name} contains NaN or Inf entries")
     return a
+
+
+def require_seed(seed) -> int:
+    """seed as an int; a ValueError unless it is a non-negative integer (numbers.Integral)."""
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    return int(seed)
 
 
 def hermiticity_defect(a: np.ndarray) -> float:

@@ -22,13 +22,12 @@ sampling costs at 10^7 shots.
 from __future__ import annotations
 
 import math
-import numbers
 import random
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import require_finite
+from .linalg import require_finite, require_seed
 from .testops import RankOnePovm, squared_weyl_overlaps
 
 ZERO_OUTCOME_TOL = 1e-15
@@ -251,9 +250,7 @@ def run_protocol(m: RankOnePovm, s: BellDiagonalState, shots: int, seed: int) ->
         raise ValueError("shots must be at least 1")
     if shots > MAX_SHOTS:
         raise ValueError(f"shots must be at most {MAX_SHOTS}")
-    if not isinstance(seed, numbers.Integral) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    seed = int(seed)
+    seed = require_seed(seed)
     q, accept = outcome_distribution(m, s)
     analytic = float(q @ accept)   # = Tr(T rho) for the test T the POVM realizes
     rng = random.Random(seed)

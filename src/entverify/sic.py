@@ -10,12 +10,13 @@ fiducials are recomputed, and certified, on every run; nothing is stored.
 
 from __future__ import annotations
 
+import numbers
 import random
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import RANK_TOL, numerical_rank
+from .linalg import RANK_TOL, numerical_rank, require_seed
 from .report import Check, VerificationReport
 from .testops import (RankOnePovm, bell_certificate, fourier_matrix,
                       invariant_bell_spectrum, weyl_overlaps)
@@ -52,10 +53,10 @@ class FiducialSearchConfig:
     tol: float = 1e-8
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if self.restarts < 1:
-            raise ValueError(f"restarts must be at least 1, got {self.restarts}")
+        self.seed = require_seed(self.seed)
+        if not isinstance(self.restarts, numbers.Integral) or self.restarts < 1:
+            raise ValueError(f"restarts must be a positive integer, got {self.restarts!r}")
+        self.restarts = int(self.restarts)
         if not 0 < self.tol < np.inf:
             raise ValueError(f"search tol must be positive and finite, got {self.tol}")
 

@@ -9,6 +9,12 @@ A1,A2,B1,B2). bell_certificate reads T's diagonal on the Bell basis from the
 Weyl overlaps of the vectors and bounds its off-diagonal part from their
 Weyl covariance, so T, of dimension d^2 or d^4, is never formed.
 
+The package has one Weyl transform, weyl_traces, for operators on any number
+of factors of C^d. The overlaps <u|V|u> of the certificates, the simulator
+and the fiducial search are the traces of the projectors |u><u|
+(weyl_overlaps), and the Clifford normalizer test reads the traces of
+U X U^dag and U Z U^dag.
+
 Weyl labels, used throughout the package: k = a*d + b names W_k = X^a Z^b,
 with the shift X|j> = |j+1> and the clock Z|j> = w^j |j>, w = exp(2 pi i / d).
 """
@@ -80,54 +86,43 @@ def fourier_matrix(d: int) -> np.ndarray:
     return np.exp(2j * np.pi * (np.outer(k, k) % d) / d)
 
 
-def weyl_overlaps(u: np.ndarray, dft: np.ndarray) -> np.ndarray:
-    """[i, a, b] = <u_i|X^a Z^b|u_i> for the rows u_i of u, given dft = fourier_matrix(d).
-
-    <u|X^a Z^b|u> = sum_j conj(u_{j+a}) u_j w^{bj}, so one length-d discrete
-    Fourier transform of conj(roll(u, -a)) * u gives all d values of b. The
-    transform is a product with the d x d Fourier matrix, not an FFT: at the
-    prime d of the MUB scheme numpy's FFT takes its slow prime-length path
-    (at d = 61, n = 3782 vectors: 0.66 s for the FFTs against 0.13 s for the
-    product, 2 CPUs).
-    """
-    n, d = u.shape
-    k = np.arange(d)
-    f = u[:, (k[:, None] + k) % d]                            # [i, a, j] = u_{j+a}
-    np.conjugate(f, out=f)
-    f *= u[:, None, :]
-    return (f.reshape(-1, d) @ dft).reshape(n, d, d)
-
-
 def weyl_traces(m: np.ndarray, dft: np.ndarray) -> np.ndarray:
-    """[i, a, b] = Tr(M_i X^a Z^b) for a stack m of d x d matrices, given dft = fourier_matrix(d).
+    """[i, a1, b1, ..., af, bf] = Tr(M_i (X^a1 Z^b1 x ... x X^af Z^bf)), given dft = fourier_matrix(d).
 
-    Tr(M X^a Z^b) = sum_j M_{j, j+a} w^{bj}: the shifted diagonals of M, one
-    per a, go through the same product with the Fourier matrix as in
-    weyl_overlaps.
+    m is a stack [n, d^f, d^f] of operators on f factors of C^d, in row-major
+    factor order. Tr(M X^a Z^b) = sum_y M[y, y+a] w^(by) on each factor, so
+    one gather of the shifted diagonals M[(y_j), (y_j + a_j)] and, per factor,
+    one length-d discrete Fourier transform give every label. The transform
+    is a product with the d x d Fourier matrix, not an FFT: at the prime d of
+    the MUB scheme numpy's FFT takes its slow prime-length path (at d = 61,
+    n = 3782 vectors: 0.66 s for the FFTs against 0.13 s for the product,
+    2 CPUs). Each product runs on a contiguous reshape(-1, d), last factor
+    first.
     """
-    n, d = m.shape[0], m.shape[-1]
-    k = np.arange(d)
-    g = m[:, k, (k[:, None] + k) % d]                          # [i, a, j] = M_i[j, j+a]
-    return (g.reshape(-1, d) @ dft).reshape(n, d, d)
-
-
-def pair_weyl_overlaps(m: np.ndarray, dft: np.ndarray) -> np.ndarray:
-    """[i, a, b, c, e] = <u_i|X^a Z^b x X^c Z^e|u_i> for u_i = vec(M_i), given dft = fourier_matrix(d).
-
-    The two-pair analogue of weyl_overlaps, on Z_d x Z_d: with M_i the d x d
-    matrix of u_i (row-major), the value is Tr(M_i^dag W_k M_i W_l^T) for
-    k = a*d + b, l = c*d + e, and equals
-    sum_{y, z} conj(M[y+a, z+c]) M[y, z] w^(by + ez), so one two-dimensional
-    discrete Fourier transform of conj(roll(M, (-a, -c))) * M gives all (b, e).
-    """
-    n, d = m.shape[0], m.shape[-1]
+    d, n, size = len(dft), m.shape[0], m.shape[-1]
+    f = 1
+    while d ** f < size:
+        f += 1
+    if d ** f != size:
+        raise ValueError(f"operators of size {size} do not act on factors of C^{d}")
     k = np.arange(d)
     shift = (k[:, None] + k) % d                               # [a, y] = y + a
-    f = m[:, shift[:, :, None, None], shift[None, None]]       # [i, a, y, c, z] = M_i[y+a, z+c]
-    np.conjugate(f, out=f)
-    f *= m[:, None, :, None, :]
-    f = np.moveaxis(f @ dft, 2, -1) @ dft                      # [i, a, c, e, b]
-    return f.transpose(0, 1, 4, 2, 3)
+    rows, cols = [], []                                        # y_j and y_j + a_j, on axes (a_j, y_j)
+    for j in range(f):
+        before, after = (1,) * (2 * j), (1,) * (2 * (f - j - 1))
+        rows.append(k.reshape(before + (1, d) + after))
+        cols.append(shift.reshape(before + (d, d) + after))
+    t = m.reshape((n,) + (d,) * (2 * f))[(slice(None), *rows, *cols)]   # [i, a1, y1, ..., af, yf]
+    for axis in range(2 * f, 0, -2):                           # y_f, ..., y_1 -> b_f, ..., b_1
+        t = np.moveaxis(t, axis, -1)
+        t = (t.reshape(-1, d) @ dft).reshape(t.shape)          # [i, a1, .., af, bf, .., bj]
+    return t.transpose([0] + [i for j in range(1, f + 1) for i in (j, 2 * f + 1 - j)])
+
+
+def weyl_overlaps(u: np.ndarray, dft: np.ndarray) -> np.ndarray:
+    """<u_i|V|u_i> for the rows u_i of u, laid out as weyl_traces: the Weyl traces of |u_i><u_i|."""
+    # [i, y, z] = conj(u_z) * u_y in this operand order; the swapped order rounds differently (FMA)
+    return weyl_traces(u.conj()[:, None, :] * u[:, :, None], dft)
 
 
 def chunks(n: int, row_entries: int) -> list[slice]:
@@ -139,16 +134,13 @@ def chunks(n: int, row_entries: int) -> list[slice]:
 def squared_weyl_overlaps(u: np.ndarray, d: int):
     """Yield (rows, |<u_i|V|u_i>|^2) over chunks of the rows u_i of u, one column per Weyl label.
 
-    V runs over the W_k for vectors of length d (one factor), from
-    weyl_overlaps, and over W_k x W_l for length d^2 (two factors,
-    u_i = vec(M_i)), from pair_weyl_overlaps, in label order k (or k*d^2 + l).
-    Each chunk holds about BELL_CHUNK complex overlap entries.
+    V runs over the W_k for vectors of length d (one factor) and over
+    W_k x W_l for length d^2 (two factors), in label order k (or k*d^2 + l),
+    from weyl_overlaps. Each chunk holds about BELL_CHUNK complex overlap entries.
     """
     dft = fourier_matrix(d)
-    single = u.shape[1] == d
     for rows in chunks(len(u), u.shape[1] ** 2):
-        mod = np.abs(weyl_overlaps(u[rows], dft) if single
-                     else pair_weyl_overlaps(u[rows].reshape(-1, d, d), dft))
+        mod = np.abs(weyl_overlaps(u[rows], dft))
         mod *= mod   # in place: a suspended generator would otherwise keep both arrays
         yield rows, mod.reshape(len(mod), -1)
 

@@ -113,10 +113,21 @@ def test_search_unreachable_tol_raises():
 
 
 @pytest.mark.parametrize("bad", [{"seed": -1}, {"restarts": 0}, {"tol": 0.0},
-                                 {"tol": float("nan")}, {"tol": float("inf")}])
+                                 {"tol": float("nan")}, {"tol": float("inf")},
+                                 {"seed": 1.5}, {"seed": "3"}, {"seed": None},
+                                 {"restarts": "3"}, {"restarts": 2.5}])
 def test_search_config_rejects_bad_values(bad):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as info:
         FiducialSearchConfig(**bad)
+    assert "\n" not in str(info.value)
+
+
+def test_numpy_integer_seed_and_restarts_are_the_int_values():
+    cfg = FiducialSearchConfig(seed=np.int64(1), restarts=np.int64(20))
+    assert type(cfg.seed) is int and type(cfg.restarts) is int
+    f1 = search_fiducial(4, cfg)
+    f2 = search_fiducial(4, FiducialSearchConfig(seed=1, restarts=20))
+    assert np.array_equal(f1.vector, f2.vector)
 
 
 @pytest.mark.parametrize("d", (2, 3))

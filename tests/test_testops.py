@@ -15,7 +15,7 @@ from entverify.sic import (FiducialSearchConfig, known_fiducial,
                            search_fiducial, weyl_orbit)
 from entverify.testops import (CompletenessError, RankOnePovm,
                                bell_certificate, bell_spectrum, fourier_matrix,
-                               weyl_traces)
+                               weyl_overlaps, weyl_traces)
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -233,11 +233,34 @@ def test_paired_vectors_rows_are_kron_with_conjugate(rng):
         assert np.array_equal(p, np.kron(v, v.conj()))
 
 
-@pytest.mark.parametrize("d", (2, 3, 5, 7))
-def test_weyl_traces_match_einsum_reference(rng, d):
-    m = rng.standard_normal((6, d, d)) + 1j * rng.standard_normal((6, d, d))
-    reference = np.einsum("nij,kji->nk", m, all_weyl(d)).reshape(6, d, d)
-    assert np.max(np.abs(weyl_traces(m, fourier_matrix(d)) - reference)) <= 1e-12
+@pytest.mark.parametrize("d,dim,overlaps", [
+    *[pytest.param(d, d, False, id=str(d)) for d in (2, 3, 5, 7)],
+    *[pytest.param(d, d * d, False, id=f"pair{d}") for d in (2, 3, 5)],
+    pytest.param(7, 7, True, id="overlaps7"),
+    pytest.param(3, 9, True, id="pair-overlaps3"),
+    pytest.param(4, 6, False, id="size6-d4"),
+])
+def test_weyl_traces_match_einsum_reference(rng, d, dim, overlaps):
+    """weyl_traces of operators, and weyl_overlaps of unit vectors, on one or two factors of C^d."""
+    dft = fourier_matrix(d)
+    if dim not in (d, d * d):
+        with pytest.raises(ValueError, match="do not act on factors") as info:
+            weyl_traces(np.zeros((2, dim, dim), dtype=complex), dft)
+        assert "\n" not in str(info.value)
+        return
+    w = all_weyl(d)
+    if dim > d:   # W_k x W_l in label order k*d^2 + l
+        w = np.einsum("kab,lce->klacbe", w, w).reshape(dim * dim, dim, dim)
+    if overlaps:
+        u = np.stack([random_ket(rng, dim) for _ in range(5)])
+        got = weyl_overlaps(u, dft)
+        reference = np.einsum("ni,kij,nj->nk", u.conj(), w, u)
+    else:
+        m = rng.standard_normal((6, dim, dim)) + 1j * rng.standard_normal((6, dim, dim))
+        got = weyl_traces(m, dft)
+        reference = np.einsum("nij,kji->nk", m, w)
+    assert got.shape == (len(reference),) + (d,) * (2 if dim == d else 4)
+    assert np.max(np.abs(got.reshape(len(reference), -1) - reference)) <= 1e-12
 
 
 def _dense_bell(m, double=False):
