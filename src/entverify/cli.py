@@ -3,7 +3,7 @@
 Supported d, from the SCHEMES table and the same for gen, verify and simulate:
   sic       2 <= d <= 12
   mub       prime d <= 64
-  clifford  d in (2, 3, 5); verify checks the identity at d = 2, 3, the group at 5
+  clifford  d in (2, 3, 5); verify checks the group and the two-pair identity at each
 `verify --tol` overrides every nonzero check tolerance, for every scheme.
 A sic fiducial at d >= 4 is searched (seeded by --seed) and certified on
 every run; nothing is stored between runs.

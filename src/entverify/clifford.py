@@ -1,12 +1,14 @@
 """Weyl operators, Clifford group enumeration, and the group-orbit POVM.
 
-The Clifford group is enumerated as phase-canonicalized unitaries closed
-under multiplication (breadth-first closure over a generating set), so every
-structural claim about it is checked by direct matrix arithmetic rather than
-symplectic bookkeeping. The Weyl normalizer test checks the images of X and Z.
-At d = 2, 3 the two-pair identity of the orbit POVM is certified from the
-Bell spectrum of its realized test (testops.bell_certificate with two Weyl
-factors), as the SIC and MUB identities are with one.
+Modulo phases, the Clifford group of prime d is the Weyl group times one
+coset representative per element of its symplectic quotient SL(2, Z_d).
+enumerate_clifford finds the representatives by a breadth-first search over
+the quotient, keyed by the exact integer Weyl labels of U X U^dag and
+U Z U^dag that the Weyl normalizer test reads, and returns the products
+{C_j W_k} coset by coset. At every supported d the two-pair identity of the
+orbit POVM is certified from the Bell spectrum of its realized test
+(testops.bell_certificate with two Weyl factors, one coset per covariance
+block), as the SIC and MUB identities are with one.
 """
 
 from __future__ import annotations
@@ -19,10 +21,7 @@ from .testops import (RankOnePovm, bell_certificate, chunks, fourier_matrix,
 
 UNITARY_TOL = 1e-10
 NORMALIZER_TOL = 1e-10
-PIVOT_TIE_TOL = 1e-9
-HASH_GRID = 1e-6
 SIZE_CAP = 10000
-IDENTITY_DS = (2, 3)  # d at which verify_clifford_identity certifies the two-pair identity
 
 
 def weyl(d: int, i: int, j: int) -> np.ndarray:
@@ -74,60 +73,42 @@ def is_prime(d: int) -> bool:
     return all(d % k for k in range(2, int(d ** 0.5) + 1))
 
 
-def canonicalize_phase(u: np.ndarray) -> np.ndarray:
-    """Fix the global phase of a matrix, or of each matrix in a stack [..., d, d].
+def weyl_image_labels(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Weyl labels of U X U^dag and U Z U^dag, and whether both are Weyl operators up to phase.
 
-    The first entry of largest magnitude (within PIVOT_TIE_TOL) becomes real positive.
-    Idempotent: applying twice returns the same matrices.
-    """
-    u = np.asarray(u, dtype=complex)
-    flat = u.reshape(-1, u.shape[-2] * u.shape[-1])
-    mags = np.abs(flat)
-    pivot = np.argmax(mags >= mags.max(axis=1, keepdims=True) - PIVOT_TIE_TOL, axis=1)
-    z = flat[np.arange(len(flat)), pivot]
-    rows = np.flatnonzero((z.imag != 0) | (z.real <= 0))
-    if not len(rows):
-        return u
-    z, cols = z[rows], pivot[rows]
-    r = np.abs(z)
-    out = flat.copy()
-    out[rows] *= (z.conj() / r)[:, None]
-    out[rows, cols] = r  # kill the fp phase residue at the pivot
-    return out.reshape(u.shape)
-
-
-def quantized_key(u: np.ndarray) -> bytes | list[bytes]:
-    """Hash key from entries quantized to the HASH_GRID (stable across tiny fp noise).
-
-    One key for a matrix [d, d], a list of keys for a stack [..., d, d] in row-major order.
-    """
-    u = np.asarray(u)
-    flat = u.reshape(-1, u.shape[-2] * u.shape[-1])
-    grid_points = np.rint(np.concatenate([flat.real, flat.imag], axis=1) / HASH_GRID)
-    keys = [row.tobytes() for row in grid_points.astype(np.int64)]
-    return keys[0] if u.ndim == 2 else keys
-
-
-def normalizes_weyl_group(u: np.ndarray) -> np.ndarray:
-    """Whether U W U^dag is a phase times a Weyl operator for every Weyl W.
-
-    One verdict for a unitary [d, d], one per unitary for a stack [..., d, d].
-    It is enough to test W = X and Z, whose products give every X^a Z^b; a
-    unitary image V is a phase times a Weyl operator when max_k |Tr(V W_k)| = d.
-    The stack is walked in chunks of about BELL_CHUNK complex image entries.
+    For a unitary [d, d] the labels have shape (2,) and the verdict is one
+    bool; for a stack [..., d, d] they have shape [..., 2] and [...]. U
+    normalizes the Weyl group when its images of X and Z are phases times
+    Weyl operators, whose products give every X^a Z^b. A unitary image V is
+    c W_m for a phase c exactly when max_k |Tr(V W_k)| = d; the peak then
+    sits at k = -m, since Tr(W_m W_k) is 0 unless m + k = 0. The returned
+    label is m = -argmax, exact integers read from the peak, so the labels
+    of a unitary that passes are those of its symplectic image. The stack is
+    walked in chunks of about BELL_CHUNK complex image entries.
     """
     u = np.asarray(u, dtype=complex)
     d = u.shape[-1]
     flat = u.reshape(-1, d, d)
     xz = np.stack([weyl(d, 1, 0), weyl(d, 0, 1)])
     dft = fourier_matrix(d)
+    labels = np.empty((len(flat), 2), dtype=np.int64)
     verdicts = np.empty(len(flat), dtype=bool)
     for rows in chunks(len(flat), 2 * d * d):
         v = flat[rows, None]
         images = v @ xz @ np.swapaxes(v, -1, -2).conj()
-        peak = np.abs(weyl_traces(images.reshape(-1, d, d), dft)).reshape(-1, 2, d * d).max(axis=-1)
-        verdicts[rows] = np.all(peak >= d * (1 - NORMALIZER_TOL), axis=-1)
-    return verdicts.reshape(u.shape[:-2])[()]
+        mod = np.abs(weyl_traces(images.reshape(-1, d, d), dft)).reshape(-1, 2, d * d)
+        a, b = np.divmod(mod.argmax(axis=-1), d)
+        labels[rows] = (-a % d) * d + (-b % d)
+        verdicts[rows] = np.all(mod.max(axis=-1) >= d * (1 - NORMALIZER_TOL), axis=-1)
+    return labels.reshape(u.shape[:-2] + (2,)), verdicts.reshape(u.shape[:-2])[()]
+
+
+def normalizes_weyl_group(u: np.ndarray) -> np.ndarray:
+    """Whether U W U^dag is a phase times a Weyl operator for every Weyl W (weyl_image_labels).
+
+    One verdict for a unitary [d, d], one per unitary for a stack [..., d, d].
+    """
+    return weyl_image_labels(u)[1]
 
 
 def clifford_generators(d: int) -> np.ndarray:
@@ -156,41 +137,51 @@ def clifford_generators(d: int) -> np.ndarray:
 
 
 def enumerate_clifford(d: int) -> np.ndarray:
-    """Breadth-first closure of the canonicalized generator products, stacked [n, d, d].
+    """The Clifford group of prime d modulo phases, stacked [n, d, d] as {C_j W_k} in coset-major order.
 
-    Terminates only when the element count matches the cardinality formula and
-    every element passes the Weyl normalizer test; any mismatch (hash collision,
-    missing generator) raises.
+    Modulo phases the group is the Weyl group times one coset representative
+    C_j per element of its symplectic quotient SL(2, Z_d), which F and S
+    generate. A breadth-first search from the identity multiplies each new
+    representative by F and S and keeps a product when the integer labels of
+    its images of X and Z (weyl_image_labels) are new; those labels are the
+    columns of its symplectic matrix, so they name its coset exactly, and
+    every representative passes the Weyl normalizer test on the way. Element
+    j * d^2 + k is C_j W_k, so each run of d^2 elements is one coset, which
+    the Weyl operators map onto itself from either side. Raises unless the
+    d(d^2 - 1) representatives give the order of the pair-count formula.
     """
     if not is_prime(d):
         raise ValueError(f"enumeration is supported for prime d only, got {d}")
     expected = clifford_cardinality(d)
     if expected > SIZE_CAP:
         raise ValueError(f"expected group size {expected} exceeds cap {SIZE_CAP}")
-    gens = clifford_generators(d)
-    identity = canonicalize_phase(np.eye(d, dtype=complex))
-    index = {quantized_key(identity): 0}
-    blocks = [identity[None]]
-    while len(blocks[-1]):
+    gens = clifford_generators(d)[2:]   # F and S; X and Z lie in every coset
+
+    def coset_keys(us: np.ndarray) -> list[int]:
+        labels, verdicts = weyl_image_labels(us)
+        if not np.all(verdicts):
+            raise RuntimeError("a product of Clifford generators fails the Weyl normalizer test")
+        return (labels[:, 0] * d * d + labels[:, 1]).tolist()
+
+    frontier = np.eye(d, dtype=complex)[None]
+    reps, seen = [frontier], set(coset_keys(frontier))
+    while len(frontier):
         # every frontier x generator product at once, in frontier-major order
-        products = canonicalize_phase(blocks[-1][:, None] @ gens[None]).reshape(-1, d, d)
+        products = (frontier[:, None] @ gens[None]).reshape(-1, d, d)
         fresh = []
-        for i, key in enumerate(quantized_key(products)):
-            if key not in index:
-                index[key] = len(index)
+        for i, key in enumerate(coset_keys(products)):
+            if key not in seen:
+                seen.add(key)
                 fresh.append(i)
-        if len(index) > SIZE_CAP:
-            raise RuntimeError(f"closure exceeded size cap {SIZE_CAP}")
-        blocks.append(products[fresh])
-    elements = np.concatenate(blocks)
-    del blocks, index   # not needed by the final check, which would peak on top of them
-    if len(elements) != expected:
+        frontier = products[fresh]
+        reps.append(frontier)
+    reps = np.concatenate(reps)
+    if len(reps) * d * d != expected:
         raise RuntimeError(
-            f"closure stabilized at {len(elements)} elements, formula gives {expected}; "
-            "canonicalization collision or missing generator")
-    if not np.all(normalizes_weyl_group(elements)):
-        raise RuntimeError("an enumerated element fails the Weyl normalizer test")
-    return elements
+            f"{len(reps)} coset representatives give {len(reps) * d * d} elements, "
+            f"formula gives {expected}")
+    weyls = np.stack([weyl(d, a, b) for a in range(d) for b in range(d)])
+    return (reps[:, None] @ weyls[None]).reshape(-1, d, d)
 
 
 def clifford_povm(group: np.ndarray) -> RankOnePovm:
@@ -217,46 +208,36 @@ def character_moments(group: np.ndarray) -> tuple[float, float]:
 
 
 def verify_clifford_identity(d: int, group: np.ndarray | None = None) -> VerificationReport:
-    """Certify the Clifford group and, at d in IDENTITY_DS, the two-pair identity of its orbit.
+    """Certify the Clifford group and the two-pair identity of its orbit POVM.
 
     `group` is the [n, d, d] stack from enumerate_clifford (enumerated when
-    None). At every d the report checks the cardinality against the
-    pair-count formula, the completeness of the orbit POVM and the character
-    moments (1, 2).
+    None), whose runs of d^2 elements are its Weyl cosets {C W_k}. The report
+    checks the cardinality against the pair-count formula, the completeness
+    of the orbit POVM and the character moments (1, 2).
 
-    At d in IDENTITY_DS it also certifies that the orbit POVM realizes the
-    two-pair invariant test. The group contains the Weyl operators, so the
-    orbit is mapped onto itself by U -> W_k U W_l, and its realized test is
-    diagonal on the two-pair Bell basis. testops.bell_certificate checks that
-    covariance for the whole orbit as one block (weyl_covariance_dev) and
-    bounds the distance to the invariant test from the Bell spectrum
+    It also certifies that the orbit POVM realizes the two-pair invariant
+    test. The group contains the Weyl operators, so each coset is mapped onto
+    itself by U -> W_k U W_l, and the realized test is diagonal on the
+    two-pair Bell basis. testops.bell_certificate checks that covariance
+    coset by coset (block = d^2, weyl_covariance_dev) and bounds the distance
+    to the invariant test from the Bell spectrum of the whole orbit
     (t_identity_dev); trace_dev is read from the spectrum sum. Nothing of
-    dimension d^4 is formed.
-
-    d = 5 stays out by cost (in process on a 2-CPU VM). The covariance Grams
-    take 0.89 s over the whole orbit and 0.020 s over its Weyl cosets {W_k C}
-    of d^2 = 25 elements, which X x I, Z x I, I x X and I x Z map onto
-    themselves; the two-pair spectrum takes 0.10-0.14 s. The coset labels
-    should come from the chunked normalizer pass of enumerate_clifford: a
-    separate label pass moved `verify clifford --d 5` past the benchmark's
-    25 % command-time and 10 % memory bounds.
+    dimension d^4 is formed, and at d = 5 the 3000-element spectrum takes
+    about 0.05 s (in process, 2-CPU VM).
     """
     if group is None:
         group = enumerate_clifford(d)
     povm = clifford_povm(group)
     c1, c2 = character_moments(group)
+    t_dev, cov_dev, trace_dev = bell_certificate(povm, block=d * d, double=True)
     checks = [
         Check.from_deviation("cardinality_dev", abs(len(group) - clifford_cardinality(d)), 0),
         Check.from_deviation("completeness_defect", povm.completeness_defect(), 1e-10),
         Check.from_deviation("char_moment1_dev", abs(c1 - 1), 1e-8),
         Check.from_deviation("char_moment2_dev", abs(c2 - 2), 1e-8),
+        Check.from_deviation("t_identity_dev", t_dev, 1e-10),
+        Check.from_deviation("weyl_covariance_dev", cov_dev, 1e-10),
+        Check.from_deviation("trace_dev", trace_dev, 1e-9),
     ]
-    if d in IDENTITY_DS:
-        t_dev, cov_dev, trace_dev = bell_certificate(povm, block=povm.n_elements, double=True)
-        checks += [
-            Check.from_deviation("t_identity_dev", t_dev, 1e-10),
-            Check.from_deviation("weyl_covariance_dev", cov_dev, 1e-10),
-            Check.from_deviation("trace_dev", trace_dev, 1e-9),
-        ]
     return VerificationReport("clifford", d, checks,
                               metadata={"elements": len(group), "c1": c1, "c2": c2})

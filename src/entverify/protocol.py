@@ -22,13 +22,14 @@ sampling costs at 10^7 shots.
 from __future__ import annotations
 
 import math
+import numbers
 import random
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import require_finite, require_seed
-from .testops import RankOnePovm, squared_weyl_overlaps
+from .testops import RankOnePovm, squared_norms, squared_weyl_overlaps
 
 ZERO_OUTCOME_TOL = 1e-15
 MARGINAL_TOL = 1e-9
@@ -128,7 +129,7 @@ def outcome_distribution(m: RankOnePovm, s: BellDiagonalState) -> tuple[np.ndarr
     single = s.party_structure == "single"
     if m.dim != (d if single else d * d):
         raise ValueError(f"POVM dimension {m.dim} does not match a {s.party_structure} state at d={d}")
-    norm2 = np.einsum("ia,ia->i", u.real, u.real) + np.einsum("ia,ia->i", u.imag, u.imag)
+    norm2 = squared_norms(u)
     q = np.clip(m.weights * norm2 / m.dim, 0, None)
     if abs(q.sum() - 1) > MARGINAL_TOL:
         raise ValueError(f"outcome probabilities sum to {q.sum()}, POVM/state inconsistent")
@@ -244,8 +245,12 @@ def run_protocol(m: RankOnePovm, s: BellDiagonalState, shots: int, seed: int) ->
     Draws the outcome histogram counts ~ Multinomial(shots, q) and the accept
     count as the sum over outcomes with counts_i > 0 of Binomial(counts_i,
     accept_i), both from one random.Random(seed) stream: time and memory grow
-    with the number of outcomes, not with shots. seed is a non-negative integer.
+    with the number of outcomes, not with shots. shots is an integer in
+    [1, MAX_SHOTS] and seed a non-negative integer (numbers.Integral).
     """
+    if not isinstance(shots, numbers.Integral):
+        raise ValueError(f"shots must be an integer, got {shots!r}")
+    shots = int(shots)
     if shots < 1:
         raise ValueError("shots must be at least 1")
     if shots > MAX_SHOTS:

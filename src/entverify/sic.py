@@ -57,8 +57,9 @@ class FiducialSearchConfig:
         if not isinstance(self.restarts, numbers.Integral) or self.restarts < 1:
             raise ValueError(f"restarts must be a positive integer, got {self.restarts!r}")
         self.restarts = int(self.restarts)
-        if not 0 < self.tol < np.inf:
-            raise ValueError(f"search tol must be positive and finite, got {self.tol}")
+        if not isinstance(self.tol, numbers.Real) or not 0 < self.tol < np.inf:
+            raise ValueError(f"search tol must be positive and finite, got {self.tol!r}")
+        self.tol = float(self.tol)
 
 
 def known_fiducial(d: int) -> Fiducial:

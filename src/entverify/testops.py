@@ -9,11 +9,14 @@ A1,A2,B1,B2). bell_certificate reads T's diagonal on the Bell basis from the
 Weyl overlaps of the vectors and bounds its off-diagonal part from their
 Weyl covariance, so T, of dimension d^2 or d^4, is never formed.
 
-The package has one Weyl transform, weyl_traces, for operators on any number
-of factors of C^d. The overlaps <u|V|u> of the certificates, the simulator
-and the fiducial search are the traces of the projectors |u><u|
-(weyl_overlaps), and the Clifford normalizer test reads the traces of
-U X U^dag and U Z U^dag.
+The package has one Weyl transform for operators on any number of factors
+of C^d: a gather of shifted diagonals and one Fourier product. weyl_traces
+feeds it the diagonals of operators, as the Clifford normalizer test does
+with U X U^dag and U Z U^dag; weyl_overlaps feeds it those of the
+projectors |u><u|, read from the vectors, for the overlaps <u|V|u> of the
+certificates, the simulator and the fiducial search. The loops over a
+POVM's elements walk it in chunks of about BELL_CHUNK complex entries, so
+their working set stays small next to the POVM itself.
 
 Weyl labels, used throughout the package: k = a*d + b names W_k = X^a Z^b,
 with the shift X|j> = |j+1> and the clock Z|j> = w^j |j>, w = exp(2 pi i / d).
@@ -31,7 +34,7 @@ from .linalg import require_finite
 
 COMPLETENESS_TOL = 1e-10
 NORM_TOL = 1e-10
-BELL_CHUNK = 2 ** 16   # complex entries per chunk of the Weyl transforms
+BELL_CHUNK = 2 ** 14   # complex entries (256 KB) per chunk of the Weyl transforms and covariance Grams
 
 
 class CompletenessError(ValueError):
@@ -62,7 +65,7 @@ class RankOnePovm:
             raise ValueError("one weight per vector required")
         if np.any(self.weights < -1e-12) or np.any(self.weights > 1 + 1e-12):
             raise ValueError("weights must lie in [0, 1]")
-        norms = np.linalg.norm(self.vectors, axis=1)
+        norms = np.sqrt(squared_norms(self.vectors))
         if np.max(np.abs(norms - 1)) > NORM_TOL:
             raise ValueError("POVM vectors must be unit norm")
         if check_completeness:
@@ -75,9 +78,16 @@ class RankOnePovm:
         return self.vectors.shape[0]
 
     def completeness_defect(self) -> float:
-        """Max-entry deviation of sum_i p_i |u_i><u_i| from the identity."""
-        s = (self.vectors.T * self.weights) @ self.vectors.conj()
+        """Max-entry deviation of sum_i p_i |u_i><u_i| from the identity, summed over chunks of rows."""
+        s = np.zeros((self.dim, self.dim), dtype=complex)
+        for rows in chunks(self.n_elements, self.dim):
+            s += (self.vectors[rows].T * self.weights[rows]) @ self.vectors[rows].conj()
         return float(np.max(np.abs(s - np.eye(self.dim))))
+
+
+def squared_norms(u: np.ndarray) -> np.ndarray:
+    """|u_i|^2 for the rows u_i of u, from the real and imaginary parts: no complex temporary."""
+    return np.einsum("ia,ia->i", u.real, u.real) + np.einsum("ia,ia->i", u.imag, u.imag)
 
 
 def fourier_matrix(d: int) -> np.ndarray:
@@ -86,43 +96,83 @@ def fourier_matrix(d: int) -> np.ndarray:
     return np.exp(2j * np.pi * (np.outer(k, k) % d) / d)
 
 
-def weyl_traces(m: np.ndarray, dft: np.ndarray) -> np.ndarray:
-    """[i, a1, b1, ..., af, bf] = Tr(M_i (X^a1 Z^b1 x ... x X^af Z^bf)), given dft = fourier_matrix(d).
-
-    m is a stack [n, d^f, d^f] of operators on f factors of C^d, in row-major
-    factor order. Tr(M X^a Z^b) = sum_y M[y, y+a] w^(by) on each factor, so
-    one gather of the shifted diagonals M[(y_j), (y_j + a_j)] and, per factor,
-    one length-d discrete Fourier transform give every label. The transform
-    is a product with the d x d Fourier matrix, not an FFT: at the prime d of
-    the MUB scheme numpy's FFT takes its slow prime-length path (at d = 61,
-    n = 3782 vectors: 0.66 s for the FFTs against 0.13 s for the product,
-    2 CPUs). Each product runs on a contiguous reshape(-1, d), last factor
-    first.
-    """
-    d, n, size = len(dft), m.shape[0], m.shape[-1]
+def _factor_count(size: int, d: int) -> int:
+    """f with d^f = size; a ValueError if size is no power of d."""
     f = 1
     while d ** f < size:
         f += 1
     if d ** f != size:
         raise ValueError(f"operators of size {size} do not act on factors of C^{d}")
+    return f
+
+
+def _shifted_index(d: int, f: int) -> np.ndarray:
+    """[a, y] = the flat label of y + a (per factor, mod d), for flat labels a and y of f factors of C^d."""
     k = np.arange(d)
     shift = (k[:, None] + k) % d                               # [a, y] = y + a
-    rows, cols = [], []                                        # y_j and y_j + a_j, on axes (a_j, y_j)
-    for j in range(f):
-        before, after = (1,) * (2 * j), (1,) * (2 * (f - j - 1))
-        rows.append(k.reshape(before + (1, d) + after))
-        cols.append(shift.reshape(before + (d, d) + after))
-    t = m.reshape((n,) + (d,) * (2 * f))[(slice(None), *rows, *cols)]   # [i, a1, y1, ..., af, yf]
-    for axis in range(2 * f, 0, -2):                           # y_f, ..., y_1 -> b_f, ..., b_1
-        t = np.moveaxis(t, axis, -1)
-        t = (t.reshape(-1, d) @ dft).reshape(t.shape)          # [i, a1, .., af, bf, .., bj]
-    return t.transpose([0] + [i for j in range(1, f + 1) for i in (j, 2 * f + 1 - j)])
+    index = np.zeros((1, 1), dtype=np.intp)
+    for _ in range(f):
+        index = (index[:, None, :, None] * d + shift[None, :, None, :]).reshape(len(index) * d, -1)
+    return index
+
+
+def _diagonals(u: np.ndarray, index: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """[i, a, y] = conj(u_i[y + a]) * u_i[y], the shifted diagonals of |u_i><u_i|, into out if given.
+
+    In this operand order: the swapped one rounds differently through FMA.
+    """
+    t = np.take(u, index, axis=1, out=out, mode="clip")   # in range; "clip" fills out unbuffered
+    np.conjugate(t, out=t)
+    t *= u[:, None, :]
+    return t
+
+
+def _transform(t: np.ndarray, fourier: np.ndarray, d: int, out: np.ndarray | None = None) -> np.ndarray:
+    """[i, a1, b1, ..., af, bf] from the shifted diagonals t[i, a, y] (flat labels a, y of f factors).
+
+    One discrete Fourier transform over y: a product of the contiguous
+    reshape(-1, d^f) with `fourier`, the Kronecker product of f Fourier
+    matrices (fourier_matrix(d) itself at one factor), into out if given.
+    The result is a view in label order.
+    """
+    size = t.shape[-1]
+    f = _factor_count(size, d)
+    out = np.matmul(t.reshape(-1, size), fourier, out=None if out is None else out.reshape(-1, size))
+    out = out.reshape((len(t),) + (d,) * (2 * f))              # [i, a1, .., af, b1, .., bf]
+    return out.transpose([0] + [i for j in range(1, f + 1) for i in (j, f + j)])
+
+
+def weyl_traces(m: np.ndarray, dft: np.ndarray) -> np.ndarray:
+    """[i, a1, b1, ..., af, bf] = Tr(M_i (X^a1 Z^b1 x ... x X^af Z^bf)), given dft = fourier_matrix(d).
+
+    m is a stack [n, d^f, d^f] of operators on f factors of C^d, in row-major
+    factor order. Tr(M X^a Z^b) = sum_y M[y, y+a] w^(by) on each factor, so
+    one gather of the shifted diagonals M[y, y + a] and one discrete Fourier
+    transform over y give every label. The transform is a product with the
+    Fourier matrix, not an FFT: at the prime d of the MUB scheme numpy's FFT
+    takes its slow prime-length path (at d = 61, n = 3782 vectors: 0.66 s
+    for the FFTs against 0.13 s for the product, 2 CPUs). Over two factors
+    one product with the d^2 x d^2 Kronecker square costs d^2 rather than 2d
+    operations per entry, but it needs no transposed copy between factors:
+    at d = 5 it takes a third of the time of two per-factor products.
+    """
+    d, n = len(dft), m.shape[0]
+    f = _factor_count(m.shape[-1], d)
+    size = d ** f
+    t = m.reshape(n, -1)[:, np.arange(size) * size + _shifted_index(d, f)]   # [i, a, y] = M[y, y + a]
+    return _transform(t, reduce(np.kron, [dft] * f), d)
 
 
 def weyl_overlaps(u: np.ndarray, dft: np.ndarray) -> np.ndarray:
-    """<u_i|V|u_i> for the rows u_i of u, laid out as weyl_traces: the Weyl traces of |u_i><u_i|."""
-    # [i, y, z] = conj(u_z) * u_y in this operand order; the swapped order rounds differently (FMA)
-    return weyl_traces(u.conj()[:, None, :] * u[:, :, None], dft)
+    """<u_i|V|u_i> for the rows u_i of u, laid out as weyl_traces: the Weyl traces of |u_i><u_i|.
+
+    The shifted diagonals of |u><u| are read straight from the vectors
+    (_diagonals) and go through the transform of weyl_traces; the projectors
+    are never formed.
+    """
+    d = len(dft)
+    f = _factor_count(u.shape[-1], d)
+    return _transform(_diagonals(u, _shifted_index(d, f)), reduce(np.kron, [dft] * f), d)
 
 
 def chunks(n: int, row_entries: int) -> list[slice]:
@@ -136,13 +186,27 @@ def squared_weyl_overlaps(u: np.ndarray, d: int):
 
     V runs over the W_k for vectors of length d (one factor) and over
     W_k x W_l for length d^2 (two factors), in label order k (or k*d^2 + l),
-    from weyl_overlaps. Each chunk holds about BELL_CHUNK complex overlap entries.
+    computed as in weyl_overlaps. Each chunk holds about BELL_CHUNK complex
+    overlap entries. The chunk arrays are allocated once and reused, and the
+    yielded array is overwritten by the next chunk: a fresh allocation per
+    chunk would make the allocator return memory to the system and fault it
+    back in, which tripled the time of the d = 5 Clifford spectrum.
     """
-    dft = fourier_matrix(d)
-    for rows in chunks(len(u), u.shape[1] ** 2):
-        mod = np.abs(weyl_overlaps(u[rows], dft))
-        mod *= mod   # in place: a suspended generator would otherwise keep both arrays
-        yield rows, mod.reshape(len(mod), -1)
+    n, size = u.shape
+    f = _factor_count(size, d)
+    index, fourier = _shifted_index(d, f), reduce(np.kron, [fourier_matrix(d)] * f)
+    parts = chunks(n, size * size)
+    step = min(n, parts[0].stop) if parts else 0
+    diagonals = np.empty((step, size, size), dtype=complex)
+    transformed = np.empty_like(diagonals)
+    squared = np.empty((step, size * size))
+    for rows in parts:
+        k = len(range(n)[rows])
+        t = _transform(_diagonals(u[rows], index, diagonals[:k]), fourier, d, transformed[:k])
+        mod = squared[:k]
+        np.abs(t, out=mod.reshape(t.shape))
+        mod *= mod
+        yield rows, mod
 
 
 def _local_dim(m: RankOnePovm, double: bool) -> int:
@@ -196,9 +260,12 @@ def weyl_covariance(m: RankOnePovm, block: int, double: bool = False) -> tuple[f
     The generators are the shift X and the clock Z on each factor: X and Z
     for one factor, X x I, Z x I, I x X and I x Z for two (double). The
     elements come in consecutive blocks of `block` (one basis of a MUB
-    family; a whole SIC or Clifford orbit). For each generator g and each
-    element i, sigma(i) is the element of i's block with the largest
-    |<u_sigma(i)|g u_i>|, from one block x block Gram per block. The
+    family; a whole SIC orbit; one Weyl coset {C W_k} of the Clifford orbit).
+    For each generator g and each element i, sigma(i) is the element of i's
+    block with the largest |<u_sigma(i)|g u_i>|, from one block x block Gram
+    per block. The blocks are walked in groups of about BELL_CHUNK complex
+    Gram entries, and the deviation and the sums delta_g below are
+    accumulated over the groups. The
     deviation is the largest of
       eps_i = min over phases c of ||g u_i - c u_sigma(i)||   (computed from
               the difference vector, never from 1 - |overlap|, which would
@@ -232,32 +299,37 @@ def weyl_covariance(m: RankOnePovm, block: int, double: bool = False) -> tuple[f
     d, n = _local_dim(m, double), m.n_elements
     if n == 0 or n % block:
         raise ValueError(f"{n} elements do not split into blocks of {block}")
-    u = m.vectors.reshape((-1, block) + (d,) * (1 + double))   # one axis per factor
-    flat = u.reshape(-1, block, m.dim)
-    p = m.weights
-    norm = np.linalg.norm(m.vectors, axis=1)
-    offsets = np.repeat(np.arange(0, n, block), block)
+    blocks = m.vectors.reshape(-1, block, m.dim)
+    norms = np.sqrt(squared_norms(m.vectors))
     clock = np.exp(2j * np.pi * np.arange(d) / d)
-    dev, deltas = 0.0, []
-    for axis in range(2, u.ndim):
-        # rows g u_i for the shift X|k> = |k+1> and the clock Z|k> = w^k |k> on this factor
-        on_axis = clock.reshape((d,) + (1,) * (u.ndim - 1 - axis))
-        for gu in (np.roll(u, 1, axis=axis), u * on_axis):
-            gu = gu.reshape(flat.shape)
-            over = flat.conj() @ gu.transpose(0, 2, 1)         # [blk, j, i] = <u_j|g u_i>
-            local = np.argmax(np.abs(over), axis=1)            # [blk, i]
-            best = np.take_along_axis(over, local[:, None, :], axis=1)[:, 0, :]
-            partner = np.take_along_axis(flat, local[:, :, None], axis=1)
-            phase = np.exp(1j * np.angle(best))[:, :, None]
-            eps = np.linalg.norm(gu - phase * partner, axis=2).ravel()
-            sigma = offsets + local.ravel()
-            mult_defect = np.abs(np.bincount(sigma, minlength=n) - 1)
-            weight_defect = np.abs(p - p[sigma])
-            dev = max(dev, float(eps.max()), float(weight_defect.max()), float(mult_defect.max()))
-            ns = norm[sigma]
-            deltas.append(float(np.sum(p * eps * (norm + ns) * (norm ** 2 + ns ** 2))
-                                + weight_defect @ ns ** 4 + mult_defect @ (p * norm ** 4)))
-    return dev, float(reduce(np.hypot, deltas) / (2 * np.sin(np.pi / d)))
+    dev, deltas = 0.0, np.zeros(2 + 2 * double)
+    for part in chunks(len(blocks), block * max(block, m.dim)):
+        flat = blocks[part]
+        u = flat.reshape(flat.shape[:2] + (d,) * (1 + double))   # one axis per factor
+        elements = slice(part.start * block, part.stop * block)
+        p, norm = m.weights[elements], norms[elements]
+        offsets = np.repeat(np.arange(0, len(p), block), block)
+        g = 0
+        for axis in range(2, u.ndim):
+            # rows g u_i for the shift X|k> = |k+1> and the clock Z|k> = w^k |k> on this factor
+            on_axis = clock.reshape((d,) + (1,) * (u.ndim - 1 - axis))
+            for gu in (np.roll(u, 1, axis=axis), u * on_axis):
+                gu = gu.reshape(flat.shape)
+                over = flat.conj() @ gu.transpose(0, 2, 1)         # [blk, j, i] = <u_j|g u_i>
+                local = np.argmax(np.abs(over), axis=1)            # [blk, i]
+                best = np.take_along_axis(over, local[:, None, :], axis=1)[:, 0, :]
+                partner = np.take_along_axis(flat, local[:, :, None], axis=1)
+                phase = np.exp(1j * np.angle(best))[:, :, None]
+                eps = np.linalg.norm(gu - phase * partner, axis=2).ravel()
+                sigma = offsets + local.ravel()
+                mult_defect = np.abs(np.bincount(sigma, minlength=len(p)) - 1)
+                weight_defect = np.abs(p - p[sigma])
+                dev = max(dev, float(eps.max()), float(weight_defect.max()), float(mult_defect.max()))
+                ns = norm[sigma]
+                deltas[g] += (np.sum(p * eps * (norm + ns) * (norm ** 2 + ns ** 2))
+                              + weight_defect @ ns ** 4 + mult_defect @ (p * norm ** 4))
+                g += 1
+    return dev, float(np.linalg.norm(deltas) / (2 * np.sin(np.pi / d)))
 
 
 def bell_certificate(m: RankOnePovm, block: int, double: bool = False) -> tuple[float, float, float]:

@@ -4,7 +4,7 @@ from math import isqrt
 import numpy as np
 import pytest
 
-from entverify.clifford import canonicalize_phase, weyl
+from entverify.clifford import clifford_generators, weyl
 from entverify.linalg import numerical_rank, require_finite, require_hermitian
 from entverify.protocol import MARGINAL_TOL, ZERO_OUTCOME_TOL
 from entverify.testops import (COMPLETENESS_TOL, CompletenessError, RankOnePovm,
@@ -235,6 +235,71 @@ def state_with_min_eigenvalue(rng: np.random.Generator, n: int, lam_min: float) 
     u = random_unitary(rng, n)
     rho = (u * vals) @ u.conj().T
     return (rho + rho.conj().T) / 2
+
+
+# --- the phase-hashed unitary closure: the reference for clifford.enumerate_clifford
+
+PIVOT_TIE_TOL = 1e-9
+HASH_GRID = 1e-6
+
+
+def canonicalize_phase(u: np.ndarray) -> np.ndarray:
+    """Fix the global phase of a matrix, or of each matrix in a stack [..., d, d].
+
+    The first entry of largest magnitude (within PIVOT_TIE_TOL) becomes real positive.
+    Idempotent: applying twice returns the same matrices.
+    """
+    u = np.asarray(u, dtype=complex)
+    flat = u.reshape(-1, u.shape[-2] * u.shape[-1])
+    mags = np.abs(flat)
+    pivot = np.argmax(mags >= mags.max(axis=1, keepdims=True) - PIVOT_TIE_TOL, axis=1)
+    z = flat[np.arange(len(flat)), pivot]
+    rows = np.flatnonzero((z.imag != 0) | (z.real <= 0))
+    if not len(rows):
+        return u
+    z, cols = z[rows], pivot[rows]
+    r = np.abs(z)
+    out = flat.copy()
+    out[rows] *= (z.conj() / r)[:, None]
+    out[rows, cols] = r  # kill the fp phase residue at the pivot
+    return out.reshape(u.shape)
+
+
+def quantized_key(u: np.ndarray) -> bytes | list[bytes]:
+    """Hash key from entries quantized to the HASH_GRID (stable across tiny fp noise).
+
+    One key for a matrix [d, d], a list of keys for a stack [..., d, d] in row-major order.
+    """
+    u = np.asarray(u)
+    flat = u.reshape(-1, u.shape[-2] * u.shape[-1])
+    grid_points = np.rint(np.concatenate([flat.real, flat.imag], axis=1) / HASH_GRID)
+    keys = [row.tobytes() for row in grid_points.astype(np.int64)]
+    return keys[0] if u.ndim == 2 else keys
+
+
+def reference_closure(d: int) -> tuple[np.ndarray, list[bytes]]:
+    """Per-product breadth-first closure of the canonicalized products of {X, Z, F, S}.
+
+    Elements and their keys in discovery order: every unitary of the group,
+    told apart by the quantized entries of its phase-canonical form.
+    """
+    gens = clifford_generators(d)
+    identity = canonicalize_phase(np.eye(d, dtype=complex))
+    elements = [identity]
+    index = {quantized_key(identity): 0}
+    frontier = [identity]
+    while frontier:
+        fresh = []
+        for u in frontier:
+            for g in gens:
+                v = canonicalize_phase(u @ g)
+                key = quantized_key(v)
+                if key not in index:
+                    index[key] = len(elements)
+                    elements.append(v)
+                    fresh.append(v)
+        frontier = fresh
+    return np.stack(elements), list(index)
 
 
 def weyl_group(d: int) -> np.ndarray:

@@ -1,17 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from conftest import (all_weyl, frobenius_distance, invariant_test_double,
-                      random_hermitian, random_unitary, realized_test,
+from conftest import (all_weyl, canonicalize_phase, frobenius_distance,
+                      invariant_test_double, quantized_key, random_hermitian,
+                      random_unitary, realized_test, reference_closure,
                       weyl_group)
 
 from entverify import clifford
-from entverify.clifford import (NORMALIZER_TOL, canonicalize_phase,
-                                character_moments, clifford_cardinality,
-                                clifford_generators, clifford_povm,
-                                enumerate_clifford, is_prime,
+from entverify.clifford import (NORMALIZER_TOL, character_moments,
+                                clifford_cardinality, clifford_generators,
+                                clifford_povm, enumerate_clifford, is_prime,
                                 normalizes_weyl_group, pair_product_counts,
-                                quantized_key, verify_clifford_identity,
-                                weyl)
+                                verify_clifford_identity, weyl,
+                                weyl_image_labels)
 from entverify.testops import RankOnePovm, bell_certificate, chunks
 
 
@@ -20,38 +22,18 @@ def brute_force_pair_count(n, d):
 
 
 def group_contains(group, u, atol=1e-8):
-    """Whether u equals, up to phase, an element of the group (found by its hash key)."""
+    """Whether u equals, up to phase, an element of the group (both sides phase-canonicalized)."""
+    canon = canonicalize_phase(group)
     c = canonicalize_phase(u)
-    index = {key: i for i, key in enumerate(quantized_key(group))}
+    index = {key: i for i, key in enumerate(quantized_key(canon))}
     i = index.get(quantized_key(c))
-    return i is not None and np.allclose(group[i], c, atol=atol)
+    return i is not None and np.allclose(canon[i], c, atol=atol)
 
 
 def reference_cardinality(d):
     """The pair-count sum d^2 sum_n nu(n) nu(n+1) over brute-force counts."""
     counts = [brute_force_pair_count(n, d) for n in range(d)]
     return d * d * sum(counts[n] * counts[(n + 1) % d] for n in range(d))
-
-
-def reference_closure(d):
-    """Per-product breadth-first closure: elements and keys in discovery order."""
-    gens = clifford_generators(d)
-    identity = canonicalize_phase(np.eye(d, dtype=complex))
-    elements = [identity]
-    index = {quantized_key(identity): 0}
-    frontier = [identity]
-    while frontier:
-        fresh = []
-        for u in frontier:
-            for g in gens:
-                v = canonicalize_phase(u @ g)
-                key = quantized_key(v)
-                if key not in index:
-                    index[key] = len(elements)
-                    elements.append(v)
-                    fresh.append(v)
-        frontier = fresh
-    return np.stack(elements), list(index)
 
 
 def test_weyl_d2_matrices():
@@ -174,10 +156,67 @@ def test_enumeration_size(d, size):
 
 @pytest.mark.parametrize("d", (2, 3, 5))
 def test_enumeration_matches_per_product_reference(d):
+    # the same set of unitaries modulo phase as the phase-hashed closure;
+    # the order and the phases are the coset-major products C_j W_k
     elements, keys = reference_closure(d)
+    canon = canonicalize_phase(enumerate_clifford(d))
+    found = quantized_key(canon)
+    assert len(found) == len(set(found)) == len(keys)
+    assert set(found) == set(keys)
+    index = {key: i for i, key in enumerate(keys)}
+    order = [index[key] for key in found]
+    assert np.max(np.abs(canon - elements[order])) <= 1e-14
+
+
+@pytest.mark.parametrize("d", (2, 3, 5))
+def test_enumeration_is_coset_major(d):
+    # element j d^2 + k is C_j W_k: each run of d^2 elements shares the labels
+    # of its images of X and Z (one symplectic matrix), and no two runs do
     group = enumerate_clifford(d)
-    assert quantized_key(group) == keys
-    assert np.max(np.abs(group - elements)) <= 1e-14
+    reps = group[::d * d]
+    assert len(reps) == d * (d * d - 1)
+    assert np.max(np.abs(group.reshape(len(reps), d * d, d, d) - reps[:, None] @ all_weyl(d))) <= 1e-15
+    labels, verdicts = weyl_image_labels(group)
+    assert np.all(verdicts)
+    runs = labels.reshape(len(reps), d * d, 2)
+    assert np.all(runs == runs[:, :1])
+    assert len({tuple(x) for x in runs[:, 0]}) == len(reps)
+
+
+@pytest.mark.parametrize("d", (2, 3, 5))
+def test_weyl_image_labels_match_dense_reference(rng, d):
+    # label m of U W U^dag = c W_m, read densely as the W_m with |Tr(W_m^dag V)| = d
+    us, expected = normalizer_cases(rng, d)
+    w = all_weyl(d)
+    xz = np.stack([weyl(d, 1, 0), weyl(d, 0, 1)])
+    images = us[:, None] @ xz[None] @ us.conj().transpose(0, 2, 1)[:, None]
+    dense = np.abs(np.einsum("nkij,lij->nkl", images, w.conj())).argmax(axis=2)
+    labels, verdicts = weyl_image_labels(us)
+    assert np.array_equal(verdicts, expected)
+    assert np.array_equal(labels[expected], dense[expected])
+    assert weyl_image_labels(np.eye(d))[0].tolist() == [d, 1]   # X and Z themselves
+    f = clifford_generators(d)[2]
+    assert weyl_image_labels(f)[0].tolist() == [1, (d - 1) * d]   # F X F^dag = Z, F Z F^dag = X^-1
+
+
+def test_enumeration_raises_when_the_generators_miss_cosets(monkeypatch):
+    # without S the search closes on the four cosets that F reaches
+    gens = clifford_generators(3)
+    monkeypatch.setattr(clifford, "clifford_generators", lambda d: gens[[0, 1, 2, 2]])
+    with pytest.raises(RuntimeError, match="4 coset representatives give 36 elements"):
+        enumerate_clifford(3)
+
+
+def test_enumeration_d5_memory_guard():
+    # about 1.3 MB traced for the 1.2 MB group; 5.5 MB with the phase-hashed closure
+    tracemalloc.start()
+    try:
+        group = enumerate_clifford(5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(group) == 3000
+    assert peak < 2.5e6, f"enumerate_clifford(5) peaked at {peak / 1e6:.1f} MB"
 
 
 def test_enumeration_closure_random_products(rng):
@@ -255,7 +294,11 @@ def test_verify_identity_d5_reports_group_checks():
     report = verify_clifford_identity(5)
     assert report.overall
     assert [c.name for c in report.checks] == ["cardinality_dev", "completeness_defect",
-                                               "char_moment1_dev", "char_moment2_dev"]
+                                               "char_moment1_dev", "char_moment2_dev",
+                                               "t_identity_dev", "weyl_covariance_dev",
+                                               "trace_dev"]
+    assert report.check("t_identity_dev").measured < 1e-10
+    assert report.check("weyl_covariance_dev").measured < 1e-10
 
 
 def test_weyl_subgroup_negative_control():

@@ -128,10 +128,28 @@ def test_verify_mub_d29_runtime_guard():
     assert elapsed < 2.0, f"verify_mub_identity(29) took {elapsed:.2f} s"
 
 
+def traced_peak(f, *args):
+    """(result, peak bytes traced by tracemalloc, which traces numpy buffers) of f(*args)."""
+    tracemalloc.start()
+    try:
+        out = f(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_verify_mub_d29_memory_guard():
+    # about 2.3 MB traced for a 0.4 MB family; 5.1 MB when the covariance
+    # Grams ran over all 30 bases at once
+    report, peak = traced_peak(verify_mub_identity, 29)
+    assert report.overall
+    assert peak < 3.5e6, f"verify_mub_identity(29) peaked at {peak / 1e6:.1f} MB"
+
+
 def test_verify_mub_d61_runtime_and_memory_guard():
-    # the Bell-spectrum certificate takes about 0.5 s and 26 MB at d = 61;
-    # the dense path it replaced took about 10 s and 1.1 GB (numpy buffers
-    # are traced by tracemalloc)
+    # the Bell-spectrum certificate takes about 0.6 s and 15 MB at d = 61,
+    # mostly the family's Grams; 26 MB when the covariance Grams ran over
+    # all 62 bases at once, and the dense path took about 10 s and 1.1 GB
     tracemalloc.start()
     try:
         start = time.perf_counter()
@@ -142,7 +160,7 @@ def test_verify_mub_d61_runtime_and_memory_guard():
         tracemalloc.stop()
     assert report.overall
     assert elapsed < 3.0, f"verify_mub_identity(61) took {elapsed:.2f} s"
-    assert peak < 200e6, f"verify_mub_identity(61) peaked at {peak / 1e6:.0f} MB"
+    assert peak < 20e6, f"verify_mub_identity(61) peaked at {peak / 1e6:.1f} MB"
 
 
 def test_rotated_family_is_not_certified(rng):

@@ -350,7 +350,7 @@ def test_run_protocol_mub_d61_runtime_and_memory_guard():
 
 
 def test_outcome_distribution_clifford_d5_memory_guard():
-    # about 5 MB traced from the Bell spectrum in chunks; the dense path took
+    # about 1.4 MB traced from the Bell spectrum in chunks; the dense path took
     # 66 MB traced for the same call (107 MB resident for the whole command)
     m = clifford_povm(enumerate_clifford(5))
     tracemalloc.start()
@@ -443,6 +443,22 @@ def test_run_protocol_rejects_bad_seed(seed):
     with pytest.raises(ValueError, match="seed must be a non-negative integer") as info:
         run_protocol(m, isotropic_state(2, 0.8), 100, seed)
     assert "\n" not in str(info.value)
+
+
+@pytest.mark.parametrize("shots", [2.5, 2.0, "3", None])
+def test_run_protocol_rejects_non_integer_shots(shots):
+    m = mub_povm(mub_prime(2))
+    with pytest.raises(ValueError, match="shots must be an integer") as info:
+        run_protocol(m, isotropic_state(2, 0.8), shots, 0)
+    assert "\n" not in str(info.value)
+
+
+def test_numpy_integer_shots_are_the_int_shots():
+    m = mub_povm(mub_prime(3))
+    s = isotropic_state(3, 0.8)
+    t = run_protocol(m, s, np.int64(1000), 5)
+    assert type(t.shots) is int
+    assert t.to_dict() == run_protocol(m, s, 1000, 5).to_dict()
 
 
 def test_numpy_integer_seed_is_the_int_seed():

@@ -115,7 +115,8 @@ def test_search_unreachable_tol_raises():
 @pytest.mark.parametrize("bad", [{"seed": -1}, {"restarts": 0}, {"tol": 0.0},
                                  {"tol": float("nan")}, {"tol": float("inf")},
                                  {"seed": 1.5}, {"seed": "3"}, {"seed": None},
-                                 {"restarts": "3"}, {"restarts": 2.5}])
+                                 {"restarts": "3"}, {"restarts": 2.5},
+                                 {"tol": "1e-8"}, {"tol": None}, {"tol": 1j}])
 def test_search_config_rejects_bad_values(bad):
     with pytest.raises(ValueError) as info:
         FiducialSearchConfig(**bad)

@@ -13,9 +13,12 @@ from entverify.linalg import numerical_rank
 from entverify.mub import mub_povm, mub_prime
 from entverify.sic import (FiducialSearchConfig, known_fiducial,
                            search_fiducial, weyl_orbit)
+from entverify import testops
+from entverify.protocol import (double_isotropic_state, isotropic_state,
+                                outcome_distribution)
 from entverify.testops import (CompletenessError, RankOnePovm,
                                bell_certificate, bell_spectrum, fourier_matrix,
-                               weyl_overlaps, weyl_traces)
+                               weyl_covariance, weyl_overlaps, weyl_traces)
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -263,6 +266,42 @@ def test_weyl_traces_match_einsum_reference(rng, d, dim, overlaps):
     assert np.max(np.abs(got.reshape(len(reference), -1) - reference)) <= 1e-12
 
 
+@pytest.mark.parametrize("d,dim", [(2, 2), (7, 7), (12, 12), (2, 4), (3, 9), (5, 25)])
+def test_weyl_overlaps_equal_the_traces_of_the_projectors(rng, d, dim):
+    # read from the vectors, the shifted diagonals are the same products
+    # conj(u[y + a]) * u[y] as those of the projector stack, so equal bit for bit
+    u = np.stack([random_ket(rng, dim) for _ in range(7)])
+    projectors = u.conj()[:, None, :] * u[:, :, None]
+    assert np.array_equal(weyl_overlaps(u, fourier_matrix(d)), weyl_traces(projectors, fourier_matrix(d)))
+
+
+CHUNK_CASES = {
+    "mub7": lambda: (mub_povm(mub_prime(7)), 7, False),
+    "sic4": lambda: (weyl_orbit(search_fiducial(4, FiducialSearchConfig(seed=0))), 16, False),
+    "clifford3": lambda: (clifford_povm(enumerate_clifford(3)), 9, True),
+}
+
+
+@pytest.mark.parametrize("case", CHUNK_CASES)
+def test_results_do_not_depend_on_the_chunk_size(monkeypatch, case):
+    # 200 entries: the SIC orbit (16 x 16 Gram) is larger than one chunk, the
+    # overlap chunks cut across the MUB bases and the Clifford cosets, and the
+    # covariance walks several groups of blocks
+    m, block, double = CHUNK_CASES[case]()
+    d = 3 if double else m.dim
+    state = (double_isotropic_state if double else isotropic_state)(d, 0.8)
+
+    def run():
+        return (bell_spectrum(m, double), np.array(weyl_covariance(m, block, double)),
+                *outcome_distribution(m, state))
+
+    default = run()
+    monkeypatch.setattr(testops, "BELL_CHUNK", 200)
+    assert len(testops.chunks(m.n_elements, m.dim ** 2)) > 1
+    for got, want in zip(run(), default):
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 def _dense_bell(m, double=False):
     """Bell-basis matrix of realized_test(m) and its distance to the invariant test.
 
@@ -330,10 +369,11 @@ def test_two_pair_bell_certificate_matches_dense_reference(d):
     spectrum = bell_spectrum(m, double=True)
     assert spectrum.shape == (d * d, d * d)
     assert np.max(np.abs(spectrum.ravel() - np.diag(t_bell).real)) <= 1e-14
-    t_dev, cov_dev, trace_dev = bell_certificate(m, m.n_elements, double=True)
-    assert abs(t_dev - dist) <= 1e-12
-    assert cov_dev <= 1e-14
-    assert trace_dev <= 1e-12
+    for block in (m.n_elements, d * d):   # the whole orbit, and one Weyl coset per block
+        t_dev, cov_dev, trace_dev = bell_certificate(m, block, double=True)
+        assert abs(t_dev - dist) <= 1e-12
+        assert cov_dev <= 1e-14
+        assert trace_dev <= 1e-12
 
 
 @pytest.mark.parametrize("scale", (1e-8, 1e-5, 1e-3))
@@ -356,9 +396,10 @@ def test_two_pair_bell_certificate_bounds_dense_distance(rng, side, d, scale):
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     perturbed = RankOnePovm(d * d, w, v, check_completeness=False)
     _, dist = _dense_bell(perturbed, double=True)
-    t_dev, cov_dev, _ = bell_certificate(perturbed, perturbed.n_elements, double=True)
-    assert cov_dev > scale / 10
-    assert dist <= t_dev <= 100 * dist
+    for block in (perturbed.n_elements, d * d):
+        t_dev, cov_dev, _ = bell_certificate(perturbed, block, double=True)
+        assert cov_dev > scale / 10
+        assert dist <= t_dev <= 100 * dist
 
 
 @pytest.mark.parametrize("lam_min,ok", [(-10e-10, False), (-0.1e-10, True)])
