@@ -12,8 +12,11 @@ Exit codes: 0 success, 1 verification or consistency failure, 2 usage error,
 3 fiducial search failure, 4 I/O error (a file that cannot be written or read).
 
 `count` takes 2 <= d <= COUNT_MAX_D (4096); its pair counts cost O(d^2). It
-enumerates the Clifford group as a cross-check always at d = 2, 3, at d = 5
-only with --enumerate, and never at any other d (enumerated is then null).
+enumerates the Clifford group's coset representatives as a cross-check
+(enumerated is their number times d^2) always at d = 2, 3, at d = 5 only
+with --enumerate, and never at any other d (enumerated is then null).
+verify and simulate read the Clifford orbit from its coset representatives;
+only gen forms the whole orbit.
 """
 
 from __future__ import annotations
@@ -42,8 +45,9 @@ class Scheme:
 
     max_d: int
     prime: bool
-    build: Callable    # (d, args) -> fiducial, MUB family or group elements
-    povm: Callable     # built data -> RankOnePovm
+    build: Callable    # (d, args) -> fiducial, MUB family or Clifford coset representatives
+    povm: Callable     # built data -> RankOnePovm of every outcome, which gen writes
+    sampled: Callable  # built data -> (RankOnePovm, n): simulate's rows, each standing for n outcomes
     certify: Callable  # (d, built data) -> VerificationReport
     state: Callable    # (d, fidelity) -> the state that simulate tests
 
@@ -60,12 +64,15 @@ def _search_config(args) -> sic.FiducialSearchConfig:
 
 SCHEMES = {
     "sic": Scheme(12, False, lambda d, args: sic.get_fiducial(d, _search_config(args)),
-                  sic.weyl_orbit, sic.verify_sic_identity, protocol.isotropic_state),
+                  sic.weyl_orbit, lambda fid: (sic.weyl_orbit(fid), 1),
+                  sic.verify_sic_identity, protocol.isotropic_state),
     "mub": Scheme(64, True, lambda d, args: mub.mub_prime(d), mub.mub_povm,
+                  lambda fam: (mub.mub_povm(fam), 1),
                   mub.verify_mub_identity, protocol.isotropic_state),
-    "clifford": Scheme(5, True, lambda d, args: clifford.enumerate_clifford(d),
-                       clifford.clifford_povm, clifford.verify_clifford_identity,
-                       protocol.double_isotropic_state),
+    "clifford": Scheme(5, True, lambda d, args: clifford.clifford_representatives(d),
+                       lambda reps: clifford.clifford_povm(clifford.weyl_cosets(reps)),
+                       lambda reps: (clifford.coset_povm(reps), reps.shape[-1] ** 2),
+                       clifford.verify_clifford_identity, protocol.double_isotropic_state),
 }
 
 
@@ -127,9 +134,9 @@ def cmd_simulate(args) -> int:
     if not 1 <= args.shots <= protocol.MAX_SHOTS:
         raise UsageError(f"shots must lie in [1, {protocol.MAX_SHOTS}], got {args.shots}")
     scheme = _scheme(args)
-    povm = scheme.povm(scheme.build(d, args))
+    povm, coset = scheme.sampled(scheme.build(d, args))
     state = scheme.state(d, args.fidelity)
-    transcript = protocol.run_protocol(povm, state, args.shots, args.seed)
+    transcript = protocol.run_protocol(povm, state, args.shots, args.seed, coset)
     doc = {"schema": 1, "scheme": args.scheme, "d": d, "fidelity": args.fidelity}
     doc.update(transcript.to_dict())
     if args.json or args.out:
@@ -157,7 +164,7 @@ def cmd_count(args) -> int:
         "enumerated": None,
     }
     if (args.enumerate or d in (2, 3)) and SCHEMES["clifford"].supports(d):
-        doc["enumerated"] = len(clifford.enumerate_clifford(d))
+        doc["enumerated"] = len(clifford.clifford_representatives(d)) * d * d
     if args.json or args.out:
         dump_json(doc, args.out)
     else:

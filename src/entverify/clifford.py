@@ -2,13 +2,15 @@
 
 Modulo phases, the Clifford group of prime d is the Weyl group times one
 coset representative per element of its symplectic quotient SL(2, Z_d).
-enumerate_clifford finds the representatives by a breadth-first search over
-the quotient, keyed by the exact integer Weyl labels of U X U^dag and
-U Z U^dag that the Weyl normalizer test reads, and returns the products
-{C_j W_k} coset by coset. At every supported d the two-pair identity of the
-orbit POVM is certified from the Bell spectrum of its realized test
-(testops.bell_certificate with two Weyl factors, one coset per covariance
-block), as the SIC and MUB identities are with one.
+clifford_representatives finds the representatives by a breadth-first
+search over the quotient, keyed by the exact integer Weyl labels of
+U X U^dag and U Z U^dag that the Weyl normalizer test reads, and
+enumerate_clifford returns the products {C_j W_k} coset by coset. At every
+supported d the two-pair identity of the orbit POVM is certified from the
+Bell spectrum of its realized test, as the SIC and MUB identities are: the
+covariance runs coset by coset over every element, the spectrum over the
+representatives alone, since every element of a coset has the same Weyl
+overlaps up to phases (coset_povm).
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from __future__ import annotations
 import numpy as np
 
 from .report import Check, VerificationReport
-from .testops import (RankOnePovm, bell_certificate, chunks, fourier_matrix,
+from .testops import (RankOnePovm, bell_spectrum, block_covariance, chunks,
+                      completeness_defect, fourier_matrix, spectrum_certificate,
                       weyl_traces)
 
 UNITARY_TOL = 1e-10
@@ -136,8 +139,8 @@ def clifford_generators(d: int) -> np.ndarray:
     return gens
 
 
-def enumerate_clifford(d: int) -> np.ndarray:
-    """The Clifford group of prime d modulo phases, stacked [n, d, d] as {C_j W_k} in coset-major order.
+def clifford_representatives(d: int) -> np.ndarray:
+    """One representative C_j per Weyl coset of the Clifford group of prime d, stacked [d(d^2 - 1), d, d].
 
     Modulo phases the group is the Weyl group times one coset representative
     C_j per element of its symplectic quotient SL(2, Z_d), which F and S
@@ -145,10 +148,9 @@ def enumerate_clifford(d: int) -> np.ndarray:
     representative by F and S and keeps a product when the integer labels of
     its images of X and Z (weyl_image_labels) are new; those labels are the
     columns of its symplectic matrix, so they name its coset exactly, and
-    every representative passes the Weyl normalizer test on the way. Element
-    j * d^2 + k is C_j W_k, so each run of d^2 elements is one coset, which
-    the Weyl operators map onto itself from either side. Raises unless the
-    d(d^2 - 1) representatives give the order of the pair-count formula.
+    every representative passes the Weyl normalizer test on the way. Raises
+    unless the representatives times the d^2 Weyl operators give the order
+    of the pair-count formula.
     """
     if not is_prime(d):
         raise ValueError(f"enumeration is supported for prime d only, got {d}")
@@ -180,8 +182,29 @@ def enumerate_clifford(d: int) -> np.ndarray:
         raise RuntimeError(
             f"{len(reps)} coset representatives give {len(reps) * d * d} elements, "
             f"formula gives {expected}")
-    weyls = np.stack([weyl(d, a, b) for a in range(d) for b in range(d)])
+    return reps
+
+
+def weyl_operators(d: int) -> np.ndarray:
+    """The d^2 Weyl operators W_k = X^a Z^b, stacked [d^2, d, d] in label order k = a*d + b."""
+    return np.stack([weyl(d, a, b) for a in range(d) for b in range(d)])
+
+
+def weyl_cosets(reps: np.ndarray, weyls: np.ndarray | None = None) -> np.ndarray:
+    """The cosets {C_j W_k} of the representatives [n, d, d], stacked [n d^2, d, d]: element j * d^2 + k is C_j W_k."""
+    d = reps.shape[-1]
+    if weyls is None:
+        weyls = weyl_operators(d)
     return (reps[:, None] @ weyls[None]).reshape(-1, d, d)
+
+
+def enumerate_clifford(d: int) -> np.ndarray:
+    """The Clifford group of prime d modulo phases, stacked [n, d, d] as {C_j W_k} in coset-major order.
+
+    The cosets of clifford_representatives(d): each run of d^2 elements is
+    one coset, which the Weyl operators map onto itself from either side.
+    """
+    return weyl_cosets(clifford_representatives(d))
 
 
 def clifford_povm(group: np.ndarray) -> RankOnePovm:
@@ -196,6 +219,42 @@ def clifford_povm(group: np.ndarray) -> RankOnePovm:
     return RankOnePovm(d * d, weights, vecs)
 
 
+def coset_povm(reps: np.ndarray) -> RankOnePovm:
+    """The orbit POVM of the cosets {C_j W_k} as one row per representative, weighted by its coset.
+
+    Row j is vec(C_j)/sqrt(d) with weight d^2 (d^2/|G|) = d^2/n, the weight
+    of its d^2 elements together. This is not a POVM (each coset sums to the
+    identity, a representative alone does not), so completeness is not
+    checked. It is the orbit for every quantity that reads only
+    |<u|W_a x W_b|u>|, which is the same on a whole coset: W_m^dag W_b W_m
+    is a phase times W_b, so vec(C W_m) = (I x W_m^T) vec(C) has the overlaps
+    of vec(C) up to phases. The Bell spectrum (testops.bell_spectrum) and
+    Bob's acceptance on Bell-diagonal states (protocol.outcome_distribution
+    with coset = d^2) are read from it.
+    """
+    n, d = len(reps), reps.shape[-1]
+    weights = np.full(n, d * d / n)
+    return RankOnePovm(d * d, weights, reps.reshape(n, d * d) / np.sqrt(d), check_completeness=False)
+
+
+def _coset_parts(reps: np.ndarray, weight: float):
+    """Yield (vectors, weights) of the orbit elements vec(C_j W_k)/sqrt(d), whole cosets at a time.
+
+    One group of representatives per chunk of about BELL_CHUNK entries of
+    the covariance's d^2 x d^2 Grams, so the orbit is never formed whole.
+    """
+    d = reps.shape[-1]
+    weyls = weyl_operators(d)
+    for rows in chunks(len(reps), d ** 4):
+        vecs = weyl_cosets(reps[rows], weyls).reshape(-1, d * d) / np.sqrt(d)
+        yield vecs, np.full(len(vecs), weight)
+
+
+def _moments(traces: np.ndarray) -> tuple[float, float]:
+    mod = np.abs(traces)
+    return float(np.mean(mod ** 2)), float(np.mean(mod ** 4))
+
+
 def character_moments(group: np.ndarray) -> tuple[float, float]:
     """Mean |trace|^2 and mean |trace|^4 over the group [n, d, d] (phase invariant).
 
@@ -203,36 +262,51 @@ def character_moments(group: np.ndarray) -> tuple[float, float]:
     counts the irreducible components of the action paired with its conjugate,
     so the value 2 certifies exactly two invariant subspaces.
     """
-    traces = np.abs(np.einsum("nii->n", group))
-    return float(np.mean(traces ** 2)), float(np.mean(traces ** 4))
+    return _moments(np.einsum("nii->n", group))
 
 
-def verify_clifford_identity(d: int, group: np.ndarray | None = None) -> VerificationReport:
+def verify_clifford_identity(d: int, reps: np.ndarray | None = None) -> VerificationReport:
     """Certify the Clifford group and the two-pair identity of its orbit POVM.
 
-    `group` is the [n, d, d] stack from enumerate_clifford (enumerated when
-    None), whose runs of d^2 elements are its Weyl cosets {C W_k}. The report
-    checks the cardinality against the pair-count formula, the completeness
-    of the orbit POVM and the character moments (1, 2).
+    `reps` are the coset representatives C_j from clifford_representatives
+    (found when None); an orbit {C_j W_k} in enumerate_clifford's coset-major
+    order is read at its representatives, every d^2-th element. The orbit
+    {C_j W_k} is never formed whole. The report checks the cardinality
+    len(reps) d^2 against the pair-count formula, the completeness of the
+    orbit POVM and the character moments (1, 2), whose |Tr(C W_k)| over
+    every k are the Weyl traces of C (testops.weyl_traces).
 
     It also certifies that the orbit POVM realizes the two-pair invariant
     test. The group contains the Weyl operators, so each coset is mapped onto
     itself by U -> W_k U W_l, and the realized test is diagonal on the
-    two-pair Bell basis. testops.bell_certificate checks that covariance
-    coset by coset (block = d^2, weyl_covariance_dev) and bounds the distance
-    to the invariant test from the Bell spectrum of the whole orbit
-    (t_identity_dev); trace_dev is read from the spectrum sum. Nothing of
-    dimension d^4 is formed, and at d = 5 the 3000-element spectrum takes
-    about 0.05 s (in process, 2-CPU VM).
+    two-pair Bell basis. The covariance (weyl_covariance_dev, with the bound
+    on the off-diagonal part) and the completeness run on every element,
+    coset by coset: testops.block_covariance accumulates one set of
+    per-generator sums over cosets formed from one chunk of representatives
+    at a time. The spectrum needs the representatives only. W_m^dag W_k W_m
+    is a phase times W_k, so |<vec(C W_m)| W_a x W_b |vec(C W_m)>| does not
+    depend on m: each coset adds d^2 equal terms to the spectrum, which is
+    the spectrum of coset_povm(reps), each representative weighted by d^2.
+    t_identity_dev combines it with the bound (testops.spectrum_certificate),
+    and trace_dev is read from the spectrum sum. Nothing of dimension d^4 is
+    formed. At d = 5 the certificate of the 3000-element orbit, the search
+    for its 120 representatives included, takes about 0.03 s in process
+    (2-CPU VM); over the whole orbit it took 0.05 s.
     """
-    if group is None:
-        group = enumerate_clifford(d)
-    povm = clifford_povm(group)
-    c1, c2 = character_moments(group)
-    t_dev, cov_dev, trace_dev = bell_certificate(povm, block=d * d, double=True)
+    if reps is None:
+        reps = clifford_representatives(d)
+    elif len(reps) == clifford_cardinality(d):
+        reps = reps[::d * d]
+    n = len(reps) * d * d
+    weight = d * d / n
+    c1, c2 = _moments(weyl_traces(reps, fourier_matrix(d)))
+    covariance = block_covariance(_coset_parts(reps, weight), d * d, d, double=True)
+    completeness = completeness_defect(_coset_parts(reps, weight), d * d)
+    t_dev, cov_dev, trace_dev = spectrum_certificate(bell_spectrum(coset_povm(reps), double=True),
+                                                     covariance)
     checks = [
-        Check.from_deviation("cardinality_dev", abs(len(group) - clifford_cardinality(d)), 0),
-        Check.from_deviation("completeness_defect", povm.completeness_defect(), 1e-10),
+        Check.from_deviation("cardinality_dev", abs(n - clifford_cardinality(d)), 0),
+        Check.from_deviation("completeness_defect", completeness, 1e-10),
         Check.from_deviation("char_moment1_dev", abs(c1 - 1), 1e-8),
         Check.from_deviation("char_moment2_dev", abs(c2 - 2), 1e-8),
         Check.from_deviation("t_identity_dev", t_dev, 1e-10),
@@ -240,4 +314,4 @@ def verify_clifford_identity(d: int, group: np.ndarray | None = None) -> Verific
         Check.from_deviation("trace_dev", trace_dev, 1e-9),
     ]
     return VerificationReport("clifford", d, checks,
-                              metadata={"elements": len(group), "c1": c1, "c2": c2})
+                              metadata={"elements": n, "c1": c1, "c2": c2})

@@ -14,7 +14,7 @@ import numpy as np
 from .clifford import is_prime
 from .linalg import numerical_rank
 from .report import Check, VerificationReport
-from .testops import RankOnePovm, bell_certificate
+from .testops import RankOnePovm, bell_certificate, chunks
 
 MUB_TOL = 1e-10
 
@@ -73,23 +73,29 @@ def _overlaps(fam: MubFamily) -> _Overlaps:
     With phi the maximally entangled state, the centered paired vectors
     c_i = u_i x conj(u_i) - <phi|u_i x conj(u_i)> phi satisfy exactly
     <c_i|c_j> = |<u_i|u_j>|^2 - |u_i|^2 |u_j|^2 / d, so every check is read
-    from the Grams <u_i|u_j> of basis j against bases j..k-1.
+    from the Grams <u_i|u_j> of basis j against bases j..k-1. Those bases
+    are walked in groups of about BELL_CHUNK Gram entries (basis j itself
+    first), so the working set stays O(d^2) next to the O(d^3) family.
     """
     d = fam.d
-    vecs = fam.bases.reshape(-1, d)
-    sq_norms = np.sum(np.abs(vecs) ** 2, axis=1)
+    sq_norms = np.sum(np.abs(fam.bases) ** 2, axis=2)
     basis_dev = cross_dev = ortho_dev = 0.0
     ranks = []
     for j in range(fam.n_bases):
-        rows = slice(j * d, (j + 1) * d)
-        gram = fam.bases[j].conj() @ vecs[j * d:].T
-        overlap_sq = np.abs(gram) ** 2
-        centered = overlap_sq - np.outer(sq_norms[rows], sq_norms[j * d:]) / d
-        basis_dev = max(basis_dev, float(np.max(np.abs(gram[:, :d] - np.eye(d)))))
-        ranks.append(numerical_rank(centered[:, :d]))
-        if j + 1 < fam.n_bases:
-            cross_dev = max(cross_dev, float(np.max(np.abs(overlap_sq[:, d:] - 1 / d))))
-            ortho_dev = max(ortho_dev, float(np.max(np.abs(centered[:, d:]))))
+        basis = fam.bases[j].conj()
+        for part in chunks(fam.n_bases - j, d * d):
+            later = slice(j + part.start, j + part.stop)
+            gram = basis @ fam.bases[later].reshape(-1, d).T
+            overlap_sq = np.abs(gram) ** 2
+            centered = overlap_sq - np.outer(sq_norms[j], sq_norms[later]) / d
+            if part.start == 0:   # basis j against itself, then the rest of the group
+                basis_dev = max(basis_dev, float(np.max(np.abs(gram[:, :d] - np.eye(d)))))
+                ranks.append(numerical_rank(centered[:, :d]))
+                overlap_sq, centered = overlap_sq[:, d:], centered[:, d:]
+            if overlap_sq.size:
+                # max |x - c| as max(max x - c, c - min x): rounding x - c is monotone in x
+                cross_dev = max(cross_dev, float(overlap_sq.max()) - 1 / d, 1 / d - float(overlap_sq.min()))
+                ortho_dev = max(ortho_dev, float(centered.max()), -float(centered.min()))
     return _Overlaps(basis_dev, cross_dev, ortho_dev, ranks)
 
 

@@ -15,8 +15,12 @@ feeds it the diagonals of operators, as the Clifford normalizer test does
 with U X U^dag and U Z U^dag; weyl_overlaps feeds it those of the
 projectors |u><u|, read from the vectors, for the overlaps <u|V|u> of the
 certificates, the simulator and the fiducial search. The loops over a
-POVM's elements walk it in chunks of about BELL_CHUNK complex entries, so
-their working set stays small next to the POVM itself.
+POVM's elements walk it in chunks of about BELL_CHUNK complex entries
+(64 KB), so their working set stays small next to the POVM itself. The
+covariance and completeness sums also take their elements as a stream of
+parts (block_covariance, completeness_defect), which lets the Clifford
+certificate form its orbit coset by coset from the representatives and
+never hold it whole.
 
 Weyl labels, used throughout the package: k = a*d + b names W_k = X^a Z^b,
 with the shift X|j> = |j+1> and the clock Z|j> = w^j |j>, w = exp(2 pi i / d).
@@ -34,7 +38,7 @@ from .linalg import require_finite
 
 COMPLETENESS_TOL = 1e-10
 NORM_TOL = 1e-10
-BELL_CHUNK = 2 ** 14   # complex entries (256 KB) per chunk of the Weyl transforms and covariance Grams
+BELL_CHUNK = 2 ** 12   # complex entries (64 KB) per chunk of the Weyl transforms and covariance Grams
 
 
 class CompletenessError(ValueError):
@@ -79,10 +83,16 @@ class RankOnePovm:
 
     def completeness_defect(self) -> float:
         """Max-entry deviation of sum_i p_i |u_i><u_i| from the identity, summed over chunks of rows."""
-        s = np.zeros((self.dim, self.dim), dtype=complex)
-        for rows in chunks(self.n_elements, self.dim):
-            s += (self.vectors[rows].T * self.weights[rows]) @ self.vectors[rows].conj()
-        return float(np.max(np.abs(s - np.eye(self.dim))))
+        return completeness_defect(((self.vectors[rows], self.weights[rows])
+                                    for rows in chunks(self.n_elements, self.dim)), self.dim)
+
+
+def completeness_defect(parts, dim: int) -> float:
+    """Max-entry deviation from the identity of sum_i p_i |u_i><u_i| over (vectors, weights) parts."""
+    s = np.zeros((dim, dim), dtype=complex)
+    for u, p in parts:
+        s += (u.T * p) @ u.conj()
+    return float(np.max(np.abs(s - np.eye(dim))))
 
 
 def squared_norms(u: np.ndarray) -> np.ndarray:
@@ -264,9 +274,8 @@ def weyl_covariance(m: RankOnePovm, block: int, double: bool = False) -> tuple[f
     For each generator g and each element i, sigma(i) is the element of i's
     block with the largest |<u_sigma(i)|g u_i>|, from one block x block Gram
     per block. The blocks are walked in groups of about BELL_CHUNK complex
-    Gram entries, and the deviation and the sums delta_g below are
-    accumulated over the groups. The
-    deviation is the largest of
+    Gram entries (block_covariance), and the deviation and the sums delta_g
+    below are accumulated over the groups. The deviation is the largest of
       eps_i = min over phases c of ||g u_i - c u_sigma(i)||   (computed from
               the difference vector, never from 1 - |overlap|, which would
               resolve it only to the square root of the rounding error),
@@ -299,15 +308,24 @@ def weyl_covariance(m: RankOnePovm, block: int, double: bool = False) -> tuple[f
     d, n = _local_dim(m, double), m.n_elements
     if n == 0 or n % block:
         raise ValueError(f"{n} elements do not split into blocks of {block}")
-    blocks = m.vectors.reshape(-1, block, m.dim)
-    norms = np.sqrt(squared_norms(m.vectors))
+    groups = chunks(n // block, block * max(block, m.dim))
+    return block_covariance(((m.vectors[g.start * block:g.stop * block],
+                              m.weights[g.start * block:g.stop * block]) for g in groups), block, d, double)
+
+
+def block_covariance(parts, block: int, d: int, double: bool = False) -> tuple[float, float]:
+    """weyl_covariance of the elements given as (vectors, weights) parts, each of whole blocks.
+
+    The deviation and the per-generator sums delta_g accumulate over all
+    parts, and the bound is formed once from the sums, so it is the same
+    quantity however the elements are split.
+    """
     clock = np.exp(2j * np.pi * np.arange(d) / d)
     dev, deltas = 0.0, np.zeros(2 + 2 * double)
-    for part in chunks(len(blocks), block * max(block, m.dim)):
-        flat = blocks[part]
+    for vectors, p in parts:
+        flat = vectors.reshape(-1, block, vectors.shape[1])
         u = flat.reshape(flat.shape[:2] + (d,) * (1 + double))   # one axis per factor
-        elements = slice(part.start * block, part.stop * block)
-        p, norm = m.weights[elements], norms[elements]
+        norm = np.sqrt(squared_norms(vectors))
         offsets = np.repeat(np.arange(0, len(p), block), block)
         g = 0
         for axis in range(2, u.ndim):
@@ -350,7 +368,14 @@ def bell_certificate(m: RankOnePovm, block: int, double: bool = False) -> tuple[
     |Tr T - D|, with Tr T the sum of the spectrum and D = m.dim the trace of
     the invariant test on one pair or two.
     """
-    cov_dev, off_bound = weyl_covariance(m, block, double)
-    spectrum = bell_spectrum(m, double)
-    diag = np.linalg.norm(spectrum - invariant_bell_spectrum(_local_dim(m, double), double))
-    return float(np.hypot(diag, off_bound)), cov_dev, abs(float(spectrum.sum()) - m.dim)
+    covariance = weyl_covariance(m, block, double)
+    return spectrum_certificate(bell_spectrum(m, double), covariance)
+
+
+def spectrum_certificate(spectrum: np.ndarray, covariance: tuple[float, float]) -> tuple[float, float, float]:
+    """bell_certificate's (t_identity_dev, weyl_covariance_dev, trace_dev) from a Bell spectrum
+    of shape (d^2,) or (d^2, d^2) and the (deviation, bound) of its POVM's Weyl covariance."""
+    cov_dev, off_bound = covariance
+    d, double = isqrt(spectrum.shape[0]), spectrum.ndim == 2
+    diag = np.linalg.norm(spectrum - invariant_bell_spectrum(d, double))
+    return float(np.hypot(diag, off_bound)), cov_dev, abs(float(spectrum.sum()) - d ** (1 + double))

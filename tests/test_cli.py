@@ -192,8 +192,24 @@ def test_verify_clifford_json_is_the_library_report(d, capsys):
     assert code == 0
     for key in ("seed", "version", "created"):
         del doc["metadata"][key]
-    report = clifford.verify_clifford_identity(d, clifford.enumerate_clifford(d))
+    report = clifford.verify_clifford_identity(d, clifford.clifford_representatives(d))
     assert doc == json.loads(json.dumps(report.to_dict()))
+
+
+def test_clifford_commands_read_the_representatives_only(monkeypatch, capsys):
+    # verify, simulate and count never form the whole orbit; gen writes it
+    def whole_orbit(*args):
+        raise AssertionError("the whole Clifford orbit was formed")
+
+    monkeypatch.setattr(clifford, "enumerate_clifford", whole_orbit)
+    monkeypatch.setattr(clifford, "clifford_povm", whole_orbit)
+    code, doc = run_json(capsys, ["verify", "clifford", "--d", "5", "--json"])
+    assert code == 0 and doc["metadata"]["elements"] == 3000
+    code, doc = run_json(capsys, ["simulate", "--scheme", "clifford", "--d", "5",
+                                  "--fidelity", "0.8", "--shots", "1000", "--json"])
+    assert code == 0 and len(doc["outcome_histogram"]) == 3000
+    code, doc = run_json(capsys, ["count", "--d", "5", "--enumerate", "--json"])
+    assert code == 0 and doc["enumerated"] == 3000
 
 
 @pytest.mark.parametrize("scheme", ["sic", "mub", "clifford"])

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -7,14 +8,17 @@ from conftest import (all_weyl, canonicalize_phase, frobenius_distance,
                       random_unitary, realized_test, reference_closure,
                       weyl_group)
 
-from entverify import clifford
+from entverify import clifford, testops
 from entverify.clifford import (NORMALIZER_TOL, character_moments,
                                 clifford_cardinality, clifford_generators,
-                                clifford_povm, enumerate_clifford, is_prime,
+                                clifford_povm, clifford_representatives,
+                                coset_povm, enumerate_clifford, is_prime,
                                 normalizes_weyl_group, pair_product_counts,
-                                verify_clifford_identity, weyl,
+                                verify_clifford_identity, weyl, weyl_cosets,
                                 weyl_image_labels)
-from entverify.testops import RankOnePovm, bell_certificate, chunks
+from entverify.testops import (RankOnePovm, bell_certificate, bell_spectrum,
+                               chunks, fourier_matrix, weyl_covariance,
+                               weyl_overlaps)
 
 
 def brute_force_pair_count(n, d):
@@ -350,6 +354,91 @@ def test_verify_group_d5_checks():
     report = verify_clifford_identity(5)
     assert report.overall
     assert report.metadata["elements"] == 3000
+
+
+def test_enumeration_is_the_cosets_of_the_representatives():
+    reps = clifford_representatives(3)
+    assert len(reps) == 24
+    assert np.array_equal(enumerate_clifford(3), weyl_cosets(reps))
+    assert np.array_equal(enumerate_clifford(3)[::9], reps)
+
+
+@pytest.mark.parametrize("d", (2, 3, 5))
+def test_representative_spectrum_matches_the_whole_orbit(d):
+    # each coset adds d^2 equal terms, so the representatives weighted by d^2
+    # give the orbit's spectrum. The reference sums every element's term
+    # exactly (math.fsum); the orbit's own chunked sum drifts 9e-15 from it at
+    # d = 5 (500 chunks of 6 elements), the representatives' sum 1e-16
+    reps = clifford_representatives(d)
+    m = clifford_povm(weyl_cosets(reps))
+    mod2 = np.abs(weyl_overlaps(m.vectors, fourier_matrix(d)).reshape(m.n_elements, -1)) ** 2
+    terms = m.weights[:, None] * mod2 / m.dim
+    exact = np.array([math.fsum(column) for column in terms.T]).reshape(d * d, d * d)
+    spectrum = bell_spectrum(coset_povm(reps), double=True)
+    assert np.max(np.abs(spectrum - exact)) <= 1e-15
+    assert np.max(np.abs(spectrum - bell_spectrum(m, double=True))) <= 1e-14
+
+
+def test_coset_povm_weights_each_representative_by_its_coset():
+    reps = clifford_representatives(3)
+    m = coset_povm(reps)
+    assert m.n_elements == 24 and m.dim == 9
+    assert np.allclose(m.weights, 9 * clifford_povm(weyl_cosets(reps)).weights[0])
+    assert np.array_equal(m.vectors, reps.reshape(24, 9) / np.sqrt(3))
+
+
+def test_verify_identity_accepts_the_orbit_at_its_representatives():
+    reps = clifford_representatives(3)
+    by_orbit = verify_clifford_identity(3, enumerate_clifford(3))
+    by_reps = verify_clifford_identity(3, reps)
+    assert by_orbit.to_dict() == by_reps.to_dict()
+    assert by_reps.metadata["elements"] == 216
+
+
+def test_verify_identity_d5_memory_guard():
+    # about 0.6 MB traced; the orbit's 3000 vectors alone take 1.2 MB, so the
+    # certificate never holds them all (4.3 MB traced when it did)
+    tracemalloc.start()
+    try:
+        report = verify_clifford_identity(5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.overall and report.metadata["elements"] == 3000
+    assert peak < 1.0e6, f"verify_clifford_identity(5) peaked at {peak / 1e6:.2f} MB"
+
+
+def test_planted_representative_fails_the_covariance(rng):
+    # a random unitary in place of a representative in the last chunk: its
+    # coset is still a complete set, but X and Z on A1 no longer map it onto
+    # itself, and the covariance, built from chunks of representatives, fails
+    reps = clifford_representatives(5)
+    assert len(chunks(len(reps), 5 ** 4)) > 1
+    reps[-1] = random_unitary(rng, 5)
+    report = verify_clifford_identity(5, reps)
+    assert not report.overall
+    assert report.check("weyl_covariance_dev").measured > 0.1
+    assert report.check("completeness_defect").passed
+
+
+def test_covariance_bound_does_not_depend_on_the_chunks(monkeypatch, rng):
+    # the per-generator sums accumulate over all chunks of representatives:
+    # with two planted cosets in different chunks, one coset per chunk gives
+    # the bound of one pass over the whole orbit. Per-chunk bounds added up
+    # would exceed it
+    reps = clifford_representatives(3)
+    reps[[2, 20]] = [random_unitary(rng, 3), random_unitary(rng, 3)]
+    dev, bound = weyl_covariance(clifford_povm(weyl_cosets(reps)), 9, double=True)
+    reports = []
+    for chunk in (81, 2 ** 16):
+        monkeypatch.setattr(testops, "BELL_CHUNK", chunk)
+        assert len(chunks(len(reps), 3 ** 4)) == (24 if chunk == 81 else 1)
+        reports.append(verify_clifford_identity(3, reps))
+    for report in reports:
+        assert abs(report.check("weyl_covariance_dev").measured - dev) <= 1e-14
+        assert bound <= report.check("t_identity_dev").measured
+    t_devs = [report.check("t_identity_dev").measured for report in reports]
+    assert bound > 0.1 and abs(t_devs[0] - t_devs[1]) <= 1e-12 * t_devs[1]
 
 
 def dense_normalizes(us):

@@ -139,17 +139,20 @@ def traced_peak(f, *args):
 
 
 def test_verify_mub_d29_memory_guard():
-    # about 2.3 MB traced for a 0.4 MB family; 5.1 MB when the covariance
-    # Grams ran over all 30 bases at once
+    # about 0.8 MB traced for a 0.4 MB family; 2.3 MB when each basis's Gram
+    # ran over all later bases at once, 5.1 MB when the covariance Grams ran
+    # over all 30 bases at once
     report, peak = traced_peak(verify_mub_identity, 29)
     assert report.overall
-    assert peak < 3.5e6, f"verify_mub_identity(29) peaked at {peak / 1e6:.1f} MB"
+    assert peak < 1.2e6, f"verify_mub_identity(29) peaked at {peak / 1e6:.1f} MB"
 
 
 def test_verify_mub_d61_runtime_and_memory_guard():
-    # the Bell-spectrum certificate takes about 0.6 s and 15 MB at d = 61,
-    # mostly the family's Grams; 26 MB when the covariance Grams ran over
-    # all 62 bases at once, and the dense path took about 10 s and 1.1 GB
+    # the Bell-spectrum certificate takes about 0.6 s and 7.4 MB traced at
+    # d = 61, mostly the 3.7 MB family, which mub_prime holds twice while it
+    # stacks the bases (bound: 7.4 MB + 20 %). 14.8 MB when each basis's Gram
+    # ran over all later bases at once, 26 MB when the covariance Grams ran
+    # over all 62 bases at once, and the dense path took about 10 s and 1.1 GB
     tracemalloc.start()
     try:
         start = time.perf_counter()
@@ -160,7 +163,7 @@ def test_verify_mub_d61_runtime_and_memory_guard():
         tracemalloc.stop()
     assert report.overall
     assert elapsed < 3.0, f"verify_mub_identity(61) took {elapsed:.2f} s"
-    assert peak < 20e6, f"verify_mub_identity(61) peaked at {peak / 1e6:.1f} MB"
+    assert peak < 9e6, f"verify_mub_identity(61) peaked at {peak / 1e6:.1f} MB"
 
 
 def test_rotated_family_is_not_certified(rng):

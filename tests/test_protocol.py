@@ -12,7 +12,9 @@ from conftest import (BipartiteState, acceptance_probability,
                       random_unitary, realized_test, require_psd,
                       state_with_min_eigenvalue, weyl_group)
 
-from entverify.clifford import clifford_povm, enumerate_clifford
+from entverify import testops
+from entverify.clifford import (clifford_povm, clifford_representatives,
+                                coset_povm, enumerate_clifford, weyl_cosets)
 from entverify.mub import mub_povm, mub_prime
 from entverify.protocol import (MAX_SHOTS, BellDiagonalState, _binomial,
                                 _log_pmf_ratio, double_isotropic_state,
@@ -360,6 +362,57 @@ def test_outcome_distribution_clifford_d5_memory_guard():
     finally:
         tracemalloc.stop()
     assert peak < 20e6, f"outcome_distribution at Clifford d = 5 peaked at {peak / 1e6:.0f} MB"
+
+
+@pytest.mark.parametrize("d", (2, 3))
+def test_coset_acceptance_matches_every_element(rng, d):
+    # Bob accepts alike on each coset {C W_k}, so the representatives give
+    # every outcome's acceptance, listed coset by coset as the orbit's elements
+    reps = clifford_representatives(d)
+    orbit = clifford_povm(weyl_cosets(reps))
+    for _ in range(3):
+        s = BellDiagonalState(d, random_spectrum(rng, d, "double"))
+        q, accept = outcome_distribution(coset_povm(reps), s, d * d)
+        q_el, accept_el = outcome_distribution(orbit, s)
+        q_ref, accept_ref = dense_outcome_distribution(orbit, BipartiteState(d, dense_rho(s), "double"))
+        assert q.shape == accept.shape == (d ** 3 * (d * d - 1),)
+        assert np.max(np.abs(q - q_el)) <= 1e-15 and np.max(np.abs(accept - accept_el)) <= 1e-14
+        assert np.max(np.abs(q - q_ref)) <= 1e-13 and np.max(np.abs(accept - accept_ref)) <= 1e-13
+        assert np.ptp(accept) > 1e-3
+
+
+@pytest.mark.parametrize("case", ("mub23", "clifford3"))
+def test_acceptance_is_bit_identical_under_every_chunk_size(monkeypatch, case):
+    # each acceptance is reduced row by row, so its bits do not depend on how
+    # many rows share a chunk (a BLAS matrix-vector product's do)
+    if case == "mub23":
+        m, s, coset = mub_povm(mub_prime(23)), isotropic_state(23, 0.83), 1
+    else:
+        reps = clifford_representatives(3)
+        m, s, coset = coset_povm(reps), BellDiagonalState(3, random_spectrum(np.random.default_rng(5), 3, "double")), 9
+    results = []
+    for chunk in (2 ** 14, 2 ** 12, 200):
+        monkeypatch.setattr(testops, "BELL_CHUNK", chunk)
+        _, accept = outcome_distribution(m, s, coset)
+        results.append((accept, run_protocol(m, s, 1000, 3, coset).analytic))
+    assert len(testops.chunks(m.n_elements, m.dim ** 2)) > 1
+    for accept, analytic in results[1:]:
+        assert np.array_equal(accept, results[0][0]) and analytic == results[0][1]
+
+
+def test_simulate_clifford_d5_from_representatives_memory_guard():
+    # about 0.6 MB traced for 10^7 shots over the 3000 outcomes; the orbit's
+    # vectors alone would take 1.2 MB
+    tracemalloc.start()
+    try:
+        t = run_protocol(coset_povm(clifford_representatives(5)), double_isotropic_state(5, 0.8),
+                         10 ** 7, 0, 25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(t.alice_outcome_counts) == 3000 and t.alice_outcome_counts.sum() == 10 ** 7
+    assert abs(t.analytic - (0.8 ** 2 + 0.2 ** 2 / 24)) <= 1e-12   # test_two_pair_closed_form
+    assert peak < 1.0e6, f"simulate at Clifford d = 5 peaked at {peak / 1e6:.2f} MB"
 
 
 def reference_per_shot_sample(q, accept, shots, seed):
