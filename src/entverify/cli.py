@@ -47,9 +47,9 @@ class Scheme:
     prime: bool
     build: Callable    # (d, args) -> fiducial, MUB family or Clifford coset representatives
     povm: Callable     # built data -> RankOnePovm of every outcome, which gen writes
-    sampled: Callable  # built data -> (RankOnePovm, n): simulate's rows, each standing for n outcomes
     certify: Callable  # (d, built data) -> VerificationReport
     state: Callable    # (d, fidelity) -> the state that simulate tests
+    sampled: Callable | None = None   # built data -> the RankOnePovm simulate reads, if not povm
 
     def supports(self, d: int) -> bool:
         return 2 <= d <= self.max_d and (not self.prime or clifford.is_prime(d))
@@ -64,15 +64,13 @@ def _search_config(args) -> sic.FiducialSearchConfig:
 
 SCHEMES = {
     "sic": Scheme(12, False, lambda d, args: sic.get_fiducial(d, _search_config(args)),
-                  sic.weyl_orbit, lambda fid: (sic.weyl_orbit(fid), 1),
-                  sic.verify_sic_identity, protocol.isotropic_state),
+                  sic.weyl_orbit, sic.verify_sic_identity, protocol.isotropic_state),
     "mub": Scheme(64, True, lambda d, args: mub.mub_prime(d), mub.mub_povm,
-                  lambda fam: (mub.mub_povm(fam), 1),
                   mub.verify_mub_identity, protocol.isotropic_state),
     "clifford": Scheme(5, True, lambda d, args: clifford.clifford_representatives(d),
                        lambda reps: clifford.clifford_povm(clifford.weyl_cosets(reps)),
-                       lambda reps: (clifford.coset_povm(reps), reps.shape[-1] ** 2),
-                       clifford.verify_clifford_identity, protocol.double_isotropic_state),
+                       clifford.verify_clifford_identity, protocol.double_isotropic_state,
+                       sampled=clifford.coset_povm),
 }
 
 
@@ -134,9 +132,9 @@ def cmd_simulate(args) -> int:
     if not 1 <= args.shots <= protocol.MAX_SHOTS:
         raise UsageError(f"shots must lie in [1, {protocol.MAX_SHOTS}], got {args.shots}")
     scheme = _scheme(args)
-    povm, coset = scheme.sampled(scheme.build(d, args))
+    povm = (scheme.sampled or scheme.povm)(scheme.build(d, args))
     state = scheme.state(d, args.fidelity)
-    transcript = protocol.run_protocol(povm, state, args.shots, args.seed, coset)
+    transcript = protocol.run_protocol(povm, state, args.shots, args.seed)
     doc = {"schema": 1, "scheme": args.scheme, "d": d, "fidelity": args.fidelity}
     doc.update(transcript.to_dict())
     if args.json or args.out:

@@ -190,12 +190,10 @@ def weyl_operators(d: int) -> np.ndarray:
     return np.stack([weyl(d, a, b) for a in range(d) for b in range(d)])
 
 
-def weyl_cosets(reps: np.ndarray, weyls: np.ndarray | None = None) -> np.ndarray:
+def weyl_cosets(reps: np.ndarray) -> np.ndarray:
     """The cosets {C_j W_k} of the representatives [n, d, d], stacked [n d^2, d, d]: element j * d^2 + k is C_j W_k."""
     d = reps.shape[-1]
-    if weyls is None:
-        weyls = weyl_operators(d)
-    return (reps[:, None] @ weyls[None]).reshape(-1, d, d)
+    return (reps[:, None] @ weyl_operators(d)[None]).reshape(-1, d, d)
 
 
 def enumerate_clifford(d: int) -> np.ndarray:
@@ -220,21 +218,19 @@ def clifford_povm(group: np.ndarray) -> RankOnePovm:
 
 
 def coset_povm(reps: np.ndarray) -> RankOnePovm:
-    """The orbit POVM of the cosets {C_j W_k} as one row per representative, weighted by its coset.
+    """The orbit POVM of the cosets {C_j W_k} as one row per representative, each standing for its coset.
 
     Row j is vec(C_j)/sqrt(d) with weight d^2 (d^2/|G|) = d^2/n, the weight
-    of its d^2 elements together. This is not a POVM (each coset sums to the
-    identity, a representative alone does not), so completeness is not
-    checked. It is the orbit for every quantity that reads only
-    |<u|W_a x W_b|u>|, which is the same on a whole coset: W_m^dag W_b W_m
-    is a phase times W_b, so vec(C W_m) = (I x W_m^T) vec(C) has the overlaps
-    of vec(C) up to phases. The Bell spectrum (testops.bell_spectrum) and
-    Bob's acceptance on Bell-diagonal states (protocol.outcome_distribution
-    with coset = d^2) are read from it.
+    of its d^2 elements together, and outcomes_per_row is d^2. It is the
+    orbit for every quantity that reads only |<u|W_a x W_b|u>|, which is the
+    same on a whole coset: W_m^dag W_b W_m is a phase times W_b, so
+    vec(C W_m) = (I x W_m^T) vec(C) has the overlaps of vec(C) up to phases.
+    The Bell spectrum (testops.bell_spectrum) and Bob's acceptance on
+    Bell-diagonal states (protocol.outcome_distribution) are read from it.
     """
     n, d = len(reps), reps.shape[-1]
     weights = np.full(n, d * d / n)
-    return RankOnePovm(d * d, weights, reps.reshape(n, d * d) / np.sqrt(d), check_completeness=False)
+    return RankOnePovm(d * d, weights, reps.reshape(n, d * d) / np.sqrt(d), outcomes_per_row=d * d)
 
 
 def _coset_parts(reps: np.ndarray, weight: float):
@@ -246,8 +242,15 @@ def _coset_parts(reps: np.ndarray, weight: float):
     d = reps.shape[-1]
     weyls = weyl_operators(d)
     for rows in chunks(len(reps), d ** 4):
-        vecs = weyl_cosets(reps[rows], weyls).reshape(-1, d * d) / np.sqrt(d)
+        vecs = (reps[rows][:, None] @ weyls[None]).reshape(-1, d * d) / np.sqrt(d)
         yield vecs, np.full(len(vecs), weight)
+
+
+def _coset_order_dev(orbit: np.ndarray, reps: np.ndarray) -> float:
+    """Max-entry deviation of the orbit [n d^2, d, d] from the cosets {C_j W_k} of reps, chunk by chunk."""
+    size = reps.shape[-1] ** 2
+    return max(float(np.max(np.abs(orbit[rows.start * size:rows.stop * size] - weyl_cosets(reps[rows]))))
+               for rows in chunks(len(reps), size * size))
 
 
 def _moments(traces: np.ndarray) -> tuple[float, float]:
@@ -269,12 +272,14 @@ def verify_clifford_identity(d: int, reps: np.ndarray | None = None) -> Verifica
     """Certify the Clifford group and the two-pair identity of its orbit POVM.
 
     `reps` are the coset representatives C_j from clifford_representatives
-    (found when None); an orbit {C_j W_k} in enumerate_clifford's coset-major
-    order is read at its representatives, every d^2-th element. The orbit
-    {C_j W_k} is never formed whole. The report checks the cardinality
-    len(reps) d^2 against the pair-count formula, the completeness of the
-    orbit POVM and the character moments (1, 2), whose |Tr(C W_k)| over
-    every k are the Weyl traces of C (testops.weyl_traces).
+    (found when None), and the orbit {C_j W_k} is never formed whole. The
+    report checks the cardinality len(reps) d^2 against the pair-count
+    formula, the completeness of the orbit POVM and the character moments
+    (1, 2), whose |Tr(C W_k)| over every k are the Weyl traces of C
+    (testops.weyl_traces). A whole orbit (clifford_cardinality(d) elements)
+    is certified from its every d^2-th element, and the extra check
+    coset_order_dev compares each of its elements with C_j W_k, its place in
+    enumerate_clifford's order, so an altered or reordered orbit fails.
 
     It also certifies that the orbit POVM realizes the two-pair invariant
     test. The group contains the Weyl operators, so each coset is mapped onto
@@ -293,10 +298,12 @@ def verify_clifford_identity(d: int, reps: np.ndarray | None = None) -> Verifica
     for its 120 representatives included, takes about 0.03 s in process
     (2-CPU VM); over the whole orbit it took 0.05 s.
     """
+    checks = []
     if reps is None:
         reps = clifford_representatives(d)
     elif len(reps) == clifford_cardinality(d):
-        reps = reps[::d * d]
+        orbit, reps = reps, reps[::d * d]
+        checks.append(Check.from_deviation("coset_order_dev", _coset_order_dev(orbit, reps), UNITARY_TOL))
     n = len(reps) * d * d
     weight = d * d / n
     c1, c2 = _moments(weyl_traces(reps, fourier_matrix(d)))
@@ -304,7 +311,7 @@ def verify_clifford_identity(d: int, reps: np.ndarray | None = None) -> Verifica
     completeness = completeness_defect(_coset_parts(reps, weight), d * d)
     t_dev, cov_dev, trace_dev = spectrum_certificate(bell_spectrum(coset_povm(reps), double=True),
                                                      covariance)
-    checks = [
+    checks += [
         Check.from_deviation("cardinality_dev", abs(n - clifford_cardinality(d)), 0),
         Check.from_deviation("completeness_defect", completeness, 1e-10),
         Check.from_deviation("char_moment1_dev", abs(c1 - 1), 1e-8),

@@ -80,6 +80,8 @@ def dump_povm(m: RankOnePovm, path: str | None = None, **fields) -> None:
     Each element is one line, encoded by json's C encoder from a chunk of at
     most POVM_CHUNK complex entries.
     """
+    if m.outcomes_per_row != 1:
+        raise ValueError("a POVM document lists every outcome, not one row per group of outcomes")
     rows = max(1, POVM_CHUNK // m.dim)
     with _output(path) as fh:
         fh.write('{\n  "schema": 1,\n  "kind": "povm",\n'

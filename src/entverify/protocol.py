@@ -114,8 +114,7 @@ def double_isotropic_state(d: int, fidelity: float) -> BellDiagonalState:
     return BellDiagonalState(d, np.outer(r, r))
 
 
-def outcome_distribution(m: RankOnePovm, s: BellDiagonalState,
-                         coset: int = 1) -> tuple[np.ndarray, np.ndarray]:
+def outcome_distribution(m: RankOnePovm, s: BellDiagonalState) -> tuple[np.ndarray, np.ndarray]:
     """Alice's outcome probabilities and Bob's conditional acceptance per outcome.
 
     Alice's reduced state is I/D (D = m.dim), so outcome i has probability
@@ -126,11 +125,11 @@ def outcome_distribution(m: RankOnePovm, s: BellDiagonalState,
     by row (an einsum, whose rows do not depend on the chunk size as those
     of a BLAS matrix-vector product do).
 
-    With coset > 1, each row of m stands for `coset` consecutive outcomes
-    that share its acceptance and split its probability evenly: a Clifford
-    coset representative C for its coset {C W_k} (clifford.coset_povm), on
-    which every |<u|V_k|u>| is the same. Each row's values are computed once
-    and repeated, so both arrays list every outcome, coset by coset.
+    Each row of m stands for m.outcomes_per_row consecutive outcomes that
+    share its acceptance and split its probability evenly: a Clifford coset
+    representative C for its coset {C W_k} (clifford.coset_povm), on which
+    every |<u|V_k|u>| is the same. Each row's values are computed once and
+    repeated, so both arrays list every outcome, coset by coset.
     Outcomes with probability below 1e-15 are assigned conditional rejection,
     which keeps the zero-probability branch free of 0/0.
     """
@@ -149,7 +148,8 @@ def outcome_distribution(m: RankOnePovm, s: BellDiagonalState,
     live = q > ZERO_OUTCOME_TOL
     accept = np.zeros_like(q)
     accept[live] = np.clip(accept_num[live] / norm2[live], 0, 1)
-    return np.repeat(q / coset, coset), np.repeat(accept, coset)
+    k = m.outcomes_per_row
+    return np.repeat(q / k, k), np.repeat(accept, k)
 
 
 def _stirling_tail(k: int) -> float:
@@ -248,8 +248,7 @@ def _multinomial(rng: random.Random, n: int, q: np.ndarray) -> list[int]:
     return counts
 
 
-def run_protocol(m: RankOnePovm, s: BellDiagonalState, shots: int, seed: int,
-                 coset: int = 1) -> ProtocolTranscript:
+def run_protocol(m: RankOnePovm, s: BellDiagonalState, shots: int, seed: int) -> ProtocolTranscript:
     """Simulate the two-step protocol for a number of shots, deterministically in seed.
 
     Draws the outcome histogram counts ~ Multinomial(shots, q) and the accept
@@ -257,7 +256,7 @@ def run_protocol(m: RankOnePovm, s: BellDiagonalState, shots: int, seed: int,
     accept_i), both from one random.Random(seed) stream: time and memory grow
     with the number of outcomes, not with shots. shots is an integer in
     [1, MAX_SHOTS] and seed a non-negative integer (numbers.Integral). Each
-    row of m stands for `coset` outcomes, as in outcome_distribution.
+    row of m stands for m.outcomes_per_row outcomes, as in outcome_distribution.
     """
     if not isinstance(shots, numbers.Integral):
         raise ValueError(f"shots must be an integer, got {shots!r}")
@@ -267,7 +266,7 @@ def run_protocol(m: RankOnePovm, s: BellDiagonalState, shots: int, seed: int,
     if shots > MAX_SHOTS:
         raise ValueError(f"shots must be at most {MAX_SHOTS}")
     seed = require_seed(seed)
-    q, accept = outcome_distribution(m, s, coset)
+    q, accept = outcome_distribution(m, s)
     analytic = float(q @ accept)   # = Tr(T rho) for the test T the POVM realizes
     rng = random.Random(seed)
     counts = _multinomial(rng, shots, q)

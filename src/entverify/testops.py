@@ -16,7 +16,8 @@ with U X U^dag and U Z U^dag; weyl_overlaps feeds it those of the
 projectors |u><u|, read from the vectors, for the overlaps <u|V|u> of the
 certificates, the simulator and the fiducial search. The loops over a
 POVM's elements walk it in chunks of about BELL_CHUNK complex entries
-(64 KB), so their working set stays small next to the POVM itself. The
+(64 KB) and at least MIN_CHUNK_ROWS rows, so their working set stays small
+next to the POVM itself. The
 covariance and completeness sums also take their elements as a stream of
 parts (block_covariance, completeness_defect), which lets the Clifford
 certificate form its orbit coset by coset from the representatives and
@@ -28,6 +29,7 @@ with the shift X|j> = |j+1> and the clock Z|j> = w^j |j>, w = exp(2 pi i / d).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import InitVar, dataclass
 from functools import reduce
 from math import isqrt
@@ -39,6 +41,7 @@ from .linalg import require_finite
 COMPLETENESS_TOL = 1e-10
 NORM_TOL = 1e-10
 BELL_CHUNK = 2 ** 12   # complex entries (64 KB) per chunk of the Weyl transforms and covariance Grams
+MIN_CHUNK_ROWS = 4     # rows per chunk at the least, whatever their size (chunks)
 
 
 class CompletenessError(ValueError):
@@ -51,11 +54,20 @@ class CompletenessError(ValueError):
 
 @dataclass(eq=False)
 class RankOnePovm:
-    """Finite rank-one POVM {p_i |u_i><u_i|} with unit vectors u_i as rows."""
+    """Finite rank-one POVM {p_i |u_i><u_i|} with unit vectors u_i as rows.
+
+    With outcomes_per_row k > 1, each row stands for k outcomes that share
+    its Weyl overlaps |<u|V|u>| and split its weight evenly, as a Clifford
+    coset representative stands for its coset (clifford.coset_povm). The
+    rows then give the Bell spectrum and the outcome distribution of all
+    k n outcomes, but they do not sum to the identity, so completeness is
+    checked only at k = 1, and the covariance needs every outcome.
+    """
 
     dim: int
     weights: np.ndarray
     vectors: np.ndarray
+    outcomes_per_row: int = 1
     check_completeness: InitVar[bool] = True
 
     def __post_init__(self, check_completeness: bool):
@@ -72,7 +84,9 @@ class RankOnePovm:
         norms = np.sqrt(squared_norms(self.vectors))
         if np.max(np.abs(norms - 1)) > NORM_TOL:
             raise ValueError("POVM vectors must be unit norm")
-        if check_completeness:
+        if not isinstance(self.outcomes_per_row, numbers.Integral) or self.outcomes_per_row < 1:
+            raise ValueError(f"outcomes_per_row must be a positive integer, got {self.outcomes_per_row!r}")
+        if check_completeness and self.outcomes_per_row == 1:
             defect = self.completeness_defect()
             if defect > COMPLETENESS_TOL:
                 raise CompletenessError(defect)
@@ -186,8 +200,13 @@ def weyl_overlaps(u: np.ndarray, dft: np.ndarray) -> np.ndarray:
 
 
 def chunks(n: int, row_entries: int) -> list[slice]:
-    """Consecutive slices of range(n), each about BELL_CHUNK complex entries at row_entries per row."""
-    step = max(1, BELL_CHUNK // row_entries)
+    """Consecutive slices of range(n), each about BELL_CHUNK complex entries at row_entries per row.
+
+    A chunk holds at least MIN_CHUNK_ROWS rows, so the products over large
+    rows (a d^2-entry overlap row at MUB d >= 37) stay large enough to run
+    on more than one BLAS thread.
+    """
+    step = max(MIN_CHUNK_ROWS, BELL_CHUNK // row_entries)
     return [slice(s, s + step) for s in range(0, n, step)]
 
 
@@ -306,6 +325,8 @@ def weyl_covariance(m: RankOnePovm, block: int, double: bool = False) -> tuple[f
     the second value returned.
     """
     d, n = _local_dim(m, double), m.n_elements
+    if m.outcomes_per_row != 1:
+        raise ValueError("the covariance needs every outcome, not one row per group of outcomes")
     if n == 0 or n % block:
         raise ValueError(f"{n} elements do not split into blocks of {block}")
     groups = chunks(n // block, block * max(block, m.dim))

@@ -382,17 +382,31 @@ def test_representative_spectrum_matches_the_whole_orbit(d):
 def test_coset_povm_weights_each_representative_by_its_coset():
     reps = clifford_representatives(3)
     m = coset_povm(reps)
-    assert m.n_elements == 24 and m.dim == 9
+    assert m.n_elements == 24 and m.dim == 9 and m.outcomes_per_row == 9
     assert np.allclose(m.weights, 9 * clifford_povm(weyl_cosets(reps)).weights[0])
     assert np.array_equal(m.vectors, reps.reshape(24, 9) / np.sqrt(3))
 
 
-def test_verify_identity_accepts_the_orbit_at_its_representatives():
-    reps = clifford_representatives(3)
-    by_orbit = verify_clifford_identity(3, enumerate_clifford(3))
-    by_reps = verify_clifford_identity(3, reps)
-    assert by_orbit.to_dict() == by_reps.to_dict()
-    assert by_reps.metadata["elements"] == 216
+def test_verify_identity_checks_an_orbit_against_its_representatives():
+    # an orbit is certified from its every d^2-th element, and coset_order_dev
+    # compares every element with its place C_j W_k, so an element changed
+    # between the representatives, or the same elements in another order,
+    # fail the report
+    orbit = enumerate_clifford(3)
+    by_orbit = verify_clifford_identity(3, orbit)
+    by_reps = verify_clifford_identity(3, clifford_representatives(3))
+    assert by_orbit.overall and by_orbit.checks[0].name == "coset_order_dev"
+    assert by_orbit.checks[0].measured == 0
+    assert [c.to_dict() for c in by_orbit.checks[1:]] == [c.to_dict() for c in by_reps.checks]
+    assert by_orbit.metadata == by_reps.metadata and by_reps.metadata["elements"] == 216
+    assert "coset_order_dev" not in [c.name for c in by_reps.checks]
+    altered = orbit.copy()
+    altered[9 * 7 + 4] = altered[9 * 7 + 5]   # a repeated element inside coset 7
+    swapped = orbit.copy()
+    swapped[[9 * 7 + 4, 9 * 7 + 5]] = orbit[[9 * 7 + 5, 9 * 7 + 4]]
+    for bad in (altered, swapped, np.roll(orbit, 1, axis=0)):
+        report = verify_clifford_identity(3, bad)
+        assert not report.overall and not report.checks[0].passed
 
 
 def test_verify_identity_d5_memory_guard():
@@ -423,16 +437,16 @@ def test_planted_representative_fails_the_covariance(rng):
 
 def test_covariance_bound_does_not_depend_on_the_chunks(monkeypatch, rng):
     # the per-generator sums accumulate over all chunks of representatives:
-    # with two planted cosets in different chunks, one coset per chunk gives
-    # the bound of one pass over the whole orbit. Per-chunk bounds added up
-    # would exceed it
+    # with two planted cosets in different chunks, six chunks of four cosets
+    # (MIN_CHUNK_ROWS) give the bound of one pass over the whole orbit.
+    # Per-chunk bounds added up would exceed it
     reps = clifford_representatives(3)
     reps[[2, 20]] = [random_unitary(rng, 3), random_unitary(rng, 3)]
     dev, bound = weyl_covariance(clifford_povm(weyl_cosets(reps)), 9, double=True)
     reports = []
     for chunk in (81, 2 ** 16):
         monkeypatch.setattr(testops, "BELL_CHUNK", chunk)
-        assert len(chunks(len(reps), 3 ** 4)) == (24 if chunk == 81 else 1)
+        assert len(chunks(len(reps), 3 ** 4)) == (6 if chunk == 81 else 1)
         reports.append(verify_clifford_identity(3, reps))
     for report in reports:
         assert abs(report.check("weyl_covariance_dev").measured - dev) <= 1e-14

@@ -148,7 +148,7 @@ def test_verify_mub_d29_memory_guard():
 
 
 def test_verify_mub_d61_runtime_and_memory_guard():
-    # the Bell-spectrum certificate takes about 0.6 s and 7.4 MB traced at
+    # the Bell-spectrum certificate takes about 0.5 s and 7.4 MB traced at
     # d = 61, mostly the 3.7 MB family, which mub_prime holds twice while it
     # stacks the bases (bound: 7.4 MB + 20 %). 14.8 MB when each basis's Gram
     # ran over all later bases at once, 26 MB when the covariance Grams ran

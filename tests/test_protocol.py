@@ -372,7 +372,7 @@ def test_coset_acceptance_matches_every_element(rng, d):
     orbit = clifford_povm(weyl_cosets(reps))
     for _ in range(3):
         s = BellDiagonalState(d, random_spectrum(rng, d, "double"))
-        q, accept = outcome_distribution(coset_povm(reps), s, d * d)
+        q, accept = outcome_distribution(coset_povm(reps), s)
         q_el, accept_el = outcome_distribution(orbit, s)
         q_ref, accept_ref = dense_outcome_distribution(orbit, BipartiteState(d, dense_rho(s), "double"))
         assert q.shape == accept.shape == (d ** 3 * (d * d - 1),)
@@ -386,15 +386,15 @@ def test_acceptance_is_bit_identical_under_every_chunk_size(monkeypatch, case):
     # each acceptance is reduced row by row, so its bits do not depend on how
     # many rows share a chunk (a BLAS matrix-vector product's do)
     if case == "mub23":
-        m, s, coset = mub_povm(mub_prime(23)), isotropic_state(23, 0.83), 1
+        m, s = mub_povm(mub_prime(23)), isotropic_state(23, 0.83)
     else:
         reps = clifford_representatives(3)
-        m, s, coset = coset_povm(reps), BellDiagonalState(3, random_spectrum(np.random.default_rng(5), 3, "double")), 9
+        m, s = coset_povm(reps), BellDiagonalState(3, random_spectrum(np.random.default_rng(5), 3, "double"))
     results = []
     for chunk in (2 ** 14, 2 ** 12, 200):
         monkeypatch.setattr(testops, "BELL_CHUNK", chunk)
-        _, accept = outcome_distribution(m, s, coset)
-        results.append((accept, run_protocol(m, s, 1000, 3, coset).analytic))
+        _, accept = outcome_distribution(m, s)
+        results.append((accept, run_protocol(m, s, 1000, 3).analytic))
     assert len(testops.chunks(m.n_elements, m.dim ** 2)) > 1
     for accept, analytic in results[1:]:
         assert np.array_equal(accept, results[0][0]) and analytic == results[0][1]
@@ -406,7 +406,7 @@ def test_simulate_clifford_d5_from_representatives_memory_guard():
     tracemalloc.start()
     try:
         t = run_protocol(coset_povm(clifford_representatives(5)), double_isotropic_state(5, 0.8),
-                         10 ** 7, 0, 25)
+                         10 ** 7, 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -8,7 +8,9 @@ from conftest import (acceptance_probability, all_weyl, eigen_hermitian,
                       permute_subsystems, random_ket, realized_test,
                       state_with_min_eigenvalue)
 
-from entverify.clifford import clifford_povm, enumerate_clifford
+from entverify.clifford import (clifford_povm, clifford_representatives,
+                                coset_povm, enumerate_clifford)
+from entverify.jsonio import dump_povm
 from entverify.linalg import numerical_rank
 from entverify.mub import mub_povm, mub_prime
 from entverify.sic import (FiducialSearchConfig, known_fiducial,
@@ -146,6 +148,24 @@ def test_povm_constructor_rejects_unnormalized():
         RankOnePovm(2, np.array([1.0, 1.0]),
                     np.array([[2, 0], [0, 1]], dtype=complex),
                     check_completeness=False)
+
+
+@pytest.mark.parametrize("k", (0, -9, 1.5, "9", None))
+def test_povm_constructor_rejects_a_bad_outcome_count(k):
+    with pytest.raises(ValueError, match="outcomes_per_row must be a positive integer"):
+        RankOnePovm(2, np.array([1.0, 1.0]), np.eye(2, dtype=complex), outcomes_per_row=k)
+
+
+def test_grouped_rows_are_refused_where_every_outcome_is_needed(tmp_path):
+    # rows that stand for groups of outcomes give the spectrum and the outcome
+    # distribution, but neither the covariance nor a POVM document
+    m = coset_povm(clifford_representatives(2))
+    assert m.outcomes_per_row == 4
+    with pytest.raises(ValueError, match="the covariance needs every outcome"):
+        weyl_covariance(m, 4, double=True)
+    with pytest.raises(ValueError, match="lists every outcome"):
+        dump_povm(m, str(tmp_path / "m.json"))
+    assert not (tmp_path / "m.json").exists()
 
 
 def test_permute_identity(rng):
