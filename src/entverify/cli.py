@@ -17,19 +17,34 @@ enumerates the Clifford group's coset representatives as a cross-check
 with --enumerate, and never at any other d (enumerated is then null).
 verify and simulate read the Clifford orbit from its coset representatives;
 only gen forms the whole orbit.
+
+A command imports only its own scheme's module: SCHEMES makes a scheme's
+record, importing entverify.<scheme>, on its first lookup, and protocol is
+imported by simulate alone. The search options are checked, and a failed
+search caught, through linalg, so mub and clifford never import sic.
+
+`python -m entverify.cli` and the `entverify` script run console_main: it
+calls main(), then gc.freeze(), then exits with main's code. Freezing moves
+every object the process made into the permanent generation, which the
+collection at interpreter shutdown does not walk; with numpy loaded that
+collection takes about 14 ms of every process (2-CPU VM). main() leaves the
+collector alone, because it is also called in process.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
+import importlib
 import math
 import sys
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 
-from . import __version__, clifford, mub, protocol, sic
+from . import __version__
 from .jsonio import dump_json, dump_povm
+from .linalg import FiducialSearchConfig, FiducialSearchError, is_prime
 from .report import Check, VerificationReport
 
 COUNT_MAX_D = 4096
@@ -48,30 +63,55 @@ class Scheme:
     build: Callable    # (d, args) -> fiducial, MUB family or Clifford coset representatives
     povm: Callable     # built data -> RankOnePovm of every outcome, which gen writes
     certify: Callable  # (d, built data) -> VerificationReport
-    state: Callable    # (d, fidelity) -> the state that simulate tests
+    state: str         # the protocol function (d, fidelity) -> the state that simulate tests
     sampled: Callable | None = None   # built data -> the RankOnePovm simulate reads, if not povm
+    gen_fields: Callable = lambda data: {}   # built data -> gen's fields after the elements
 
     def supports(self, d: int) -> bool:
-        return 2 <= d <= self.max_d and (not self.prime or clifford.is_prime(d))
+        return 2 <= d <= self.max_d and (not self.prime or is_prime(d))
 
 
-def _search_config(args) -> sic.FiducialSearchConfig:
+class _Schemes(Mapping):
+    """Scheme name -> Scheme, made from its module entverify.<name> on first lookup."""
+
+    def __init__(self, **records: Callable):
+        self._records = records   # name -> (the scheme's module -> its Scheme)
+        self._made = {}
+
+    def __getitem__(self, name: str) -> Scheme:
+        if name not in self._made:
+            make = self._records[name]   # a KeyError before any import for an unknown name
+            self._made[name] = make(importlib.import_module(f"{__package__}.{name}"))
+        return self._made[name]
+
+    def __iter__(self):
+        return iter(self._records)
+
+    def __len__(self) -> int:
+        return len(self._records)
+
+
+def _search_config(args) -> FiducialSearchConfig:
     try:
-        return sic.FiducialSearchConfig(args.seed, args.restarts, args.search_tol)
+        return FiducialSearchConfig(args.seed, args.restarts, args.search_tol)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
 
-SCHEMES = {
-    "sic": Scheme(12, False, lambda d, args: sic.get_fiducial(d, _search_config(args)),
-                  sic.weyl_orbit, sic.verify_sic_identity, protocol.isotropic_state),
-    "mub": Scheme(64, True, lambda d, args: mub.mub_prime(d), mub.mub_povm,
-                  mub.verify_mub_identity, protocol.isotropic_state),
-    "clifford": Scheme(5, True, lambda d, args: clifford.clifford_representatives(d),
-                       lambda reps: clifford.clifford_povm(clifford.weyl_cosets(reps)),
-                       clifford.verify_clifford_identity, protocol.double_isotropic_state,
-                       sampled=clifford.coset_povm),
-}
+SCHEMES = _Schemes(
+    sic=lambda sic: Scheme(
+        12, False, lambda d, args: sic.get_fiducial(d, _search_config(args)),
+        sic.weyl_orbit, sic.verify_sic_identity, "isotropic_state",
+        gen_fields=lambda f: {"fiducial_residual": f.residual}),
+    mub=lambda mub: Scheme(
+        64, True, lambda d, args: mub.mub_prime(d), mub.mub_povm,
+        mub.verify_mub_identity, "isotropic_state"),
+    clifford=lambda clifford: Scheme(
+        5, True, lambda d, args: clifford.clifford_representatives(d),
+        lambda reps: clifford.clifford_povm(clifford.weyl_cosets(reps)),
+        clifford.verify_clifford_identity, "double_isotropic_state",
+        sampled=clifford.coset_povm),
+)
 
 
 def _scheme(args) -> Scheme:
@@ -101,10 +141,7 @@ def _print_report(report: VerificationReport) -> None:
 def cmd_gen(args) -> int:
     scheme = _scheme(args)
     data = scheme.build(args.d, args)
-    fields = {"scheme": args.scheme, "d": args.d}
-    if isinstance(data, sic.Fiducial):
-        fields["fiducial_residual"] = data.residual
-    dump_povm(scheme.povm(data), args.out, **fields)
+    dump_povm(scheme.povm(data), args.out, scheme=args.scheme, d=args.d, **scheme.gen_fields(data))
     return 0
 
 
@@ -126,6 +163,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from . import protocol
+
     d = args.d
     if not 0 <= args.fidelity <= 1:
         raise UsageError(f"fidelity must lie in [0, 1], got {args.fidelity}")
@@ -133,7 +172,7 @@ def cmd_simulate(args) -> int:
         raise UsageError(f"shots must lie in [1, {protocol.MAX_SHOTS}], got {args.shots}")
     scheme = _scheme(args)
     povm = (scheme.sampled or scheme.povm)(scheme.build(d, args))
-    state = scheme.state(d, args.fidelity)
+    state = getattr(protocol, scheme.state)(d, args.fidelity)
     transcript = protocol.run_protocol(povm, state, args.shots, args.seed)
     doc = {"schema": 1, "scheme": args.scheme, "d": d, "fidelity": args.fidelity}
     doc.update(transcript.to_dict())
@@ -149,6 +188,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_count(args) -> int:
+    from . import clifford
+
     d = args.d
     if not 2 <= d <= COUNT_MAX_D:
         raise UsageError(f"count supports 2 <= d <= {COUNT_MAX_D}, got {d}")
@@ -158,7 +199,7 @@ def cmd_count(args) -> int:
         "d": d,
         "nu_values": nu.tolist(),
         "formula_value": clifford.cardinality_from_pair_counts(nu),
-        "prime_formula_value": d ** 3 * (d * d - 1) if clifford.is_prime(d) else None,
+        "prime_formula_value": d ** 3 * (d * d - 1) if is_prime(d) else None,
         "enumerated": None,
     }
     if (args.enumerate or d in (2, 3)) and SCHEMES["clifford"].supports(d):
@@ -227,7 +268,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except sic.FiducialSearchError as exc:
+    except FiducialSearchError as exc:
         print(f"search failed: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
@@ -235,5 +276,12 @@ def main(argv: list[str] | None = None) -> int:
         return 4
 
 
+def console_main() -> None:
+    """The process entry: main(), gc.freeze(), then exit with main's code (module docstring)."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    console_main()

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .linalg import is_prime
 from .report import Check, VerificationReport
 from .testops import (RankOnePovm, bell_spectrum, block_covariance, chunks,
                       completeness_defect, fourier_matrix, spectrum_certificate,
@@ -68,12 +69,6 @@ def clifford_cardinality(d: int) -> int:
     if d < 2:
         raise ValueError("dimension must be at least 2")
     return cardinality_from_pair_counts(pair_product_counts(d))
-
-
-def is_prime(d: int) -> bool:
-    if d < 2:
-        return False
-    return all(d % k for k in range(2, int(d ** 0.5) + 1))
 
 
 def weyl_image_labels(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -254,18 +249,13 @@ def _coset_order_dev(orbit: np.ndarray, reps: np.ndarray) -> float:
 
 
 def _moments(traces: np.ndarray) -> tuple[float, float]:
+    """Mean |Tr|^2 and mean |Tr|^4 of a group's traces, its character moments.
+
+    The first is 1 iff the natural action is irreducible; the second counts
+    the irreducible components of the action paired with its conjugate.
+    """
     mod = np.abs(traces)
     return float(np.mean(mod ** 2)), float(np.mean(mod ** 4))
-
-
-def character_moments(group: np.ndarray) -> tuple[float, float]:
-    """Mean |trace|^2 and mean |trace|^4 over the group [n, d, d] (phase invariant).
-
-    The first moment is 1 iff the natural action is irreducible; the second
-    counts the irreducible components of the action paired with its conjugate,
-    so the value 2 certifies exactly two invariant subspaces.
-    """
-    return _moments(np.einsum("nii->n", group))
 
 
 def verify_clifford_identity(d: int, reps: np.ndarray | None = None) -> VerificationReport:

@@ -11,8 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import is_prime
-from .linalg import numerical_rank
+from .linalg import is_prime, numerical_rank
 from .report import Check, VerificationReport
 from .testops import RankOnePovm, bell_certificate, chunks
 
@@ -49,11 +48,12 @@ def mub_prime(d: int) -> MubFamily:
         ])
     else:
         k = np.arange(d)
-        bases = [np.eye(d, dtype=complex)]
+        # filled in place: a list of bases and its stack would hold the family twice
+        bases = np.empty((d + 1, d, d), dtype=complex)
+        bases[0] = np.eye(d)
         for s_idx in range(d):
             phases = (s_idx * k * k + np.outer(k, k)) % d  # [t, k] = s k^2 + t k
-            bases.append(np.exp(2j * np.pi * phases / d) / np.sqrt(d))
-        bases = np.stack(bases)
+            bases[s_idx + 1] = np.exp(2j * np.pi * phases / d) / np.sqrt(d)
     return MubFamily(d, bases)
 
 

@@ -10,13 +10,13 @@ fiducials are recomputed, and certified, on every run; nothing is stored.
 
 from __future__ import annotations
 
-import numbers
 import random
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import RANK_TOL, numerical_rank, require_seed
+from .linalg import (RANK_TOL, FiducialSearchConfig, FiducialSearchError,
+                     numerical_rank)
 from .report import Check, VerificationReport
 from .testops import (RankOnePovm, bell_certificate, fourier_matrix,
                       invariant_bell_spectrum, weyl_overlaps)
@@ -27,16 +27,6 @@ MAX_ITERS = 2000   # descent steps per restart
 STALL = 1e-6       # a restart ends once a step lowers the residual by at most this share
 
 
-class FiducialSearchError(RuntimeError):
-    """Search exhausted its restarts without reaching the requested residual."""
-
-    def __init__(self, d: int, best_residual: float, restarts: int):
-        self.best_residual = float(best_residual)
-        super().__init__(
-            f"no fiducial found for d={d} after {restarts} restarts "
-            f"(best residual {best_residual:.3e})")
-
-
 @dataclass(eq=False)
 class Fiducial:
     """Unit vector with the max deviation of its orbit overlaps from 1/(d+1)."""
@@ -44,22 +34,6 @@ class Fiducial:
     d: int
     vector: np.ndarray
     residual: float
-
-
-@dataclass
-class FiducialSearchConfig:
-    seed: int = 0
-    restarts: int = 50
-    tol: float = 1e-8
-
-    def __post_init__(self):
-        self.seed = require_seed(self.seed)
-        if not isinstance(self.restarts, numbers.Integral) or self.restarts < 1:
-            raise ValueError(f"restarts must be a positive integer, got {self.restarts!r}")
-        self.restarts = int(self.restarts)
-        if not isinstance(self.tol, numbers.Real) or not 0 < self.tol < np.inf:
-            raise ValueError(f"search tol must be positive and finite, got {self.tol!r}")
-        self.tol = float(self.tol)
 
 
 def known_fiducial(d: int) -> Fiducial:

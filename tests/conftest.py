@@ -307,6 +307,19 @@ def weyl_group(d: int) -> np.ndarray:
     return canonicalize_phase(all_weyl(d))
 
 
+def character_moments(group: np.ndarray) -> tuple[float, float]:
+    """Mean |trace|^2 and mean |trace|^4 over the group [n, d, d] (phase invariant).
+
+    The first moment is 1 iff the natural action is irreducible; the second
+    counts the irreducible components of the action paired with its conjugate,
+    so the value 2 certifies exactly two invariant subspaces. The reference
+    for the moments that clifford.verify_clifford_identity reads from the
+    Weyl traces of the coset representatives.
+    """
+    mod = np.abs(np.einsum("nii->n", group))
+    return float(np.mean(mod ** 2)), float(np.mean(mod ** 4))
+
+
 @dataclass(eq=False)
 class BipartiteState:
     """Dense density operator on dimension d^2 (single) or d^4 (double): the reference state."""

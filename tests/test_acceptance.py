@@ -11,13 +11,12 @@ import time
 
 import numpy as np
 import pytest
-from conftest import (frobenius_distance, invariant_test_double,
-                      invariant_test_single, projected_span_ranks,
-                      realized_test, weyl_group)
+from conftest import (character_moments, frobenius_distance,
+                      invariant_test_double, invariant_test_single,
+                      projected_span_ranks, realized_test, weyl_group)
 
-from entverify.clifford import (character_moments, clifford_cardinality,
-                                clifford_povm, enumerate_clifford,
-                                pair_product_counts)
+from entverify.clifford import (clifford_cardinality, clifford_povm,
+                                enumerate_clifford, pair_product_counts)
 from entverify.linalg import numerical_rank
 from entverify.mub import (mub_povm, mub_prime, pvm_count_bound,
                            verify_mub_identity)

@@ -14,6 +14,7 @@ from entverify.jsonio import (dump_povm, pairs_to_vector, povm_from_dict,
                               vector_to_pairs)
 from entverify.mub import mub_povm, mub_prime
 from entverify.sic import Fiducial, known_fiducial, weyl_orbit
+from entverify.testops import RankOnePovm
 
 
 @pytest.fixture(autouse=True)
@@ -112,21 +113,53 @@ def test_povm_json_roundtrip_mub(tmp_path):
     assert np.array_equal(m.vectors, m2.vectors)
 
 
+def signed_zero_povm():
+    """A complete POVM on C^2 with -0.0 and 0.0 in both parts and repeated [re, im] pairs."""
+    parts = [[(1.0, 0.0), (0.0, 0.0)], [(0.0, 0.0), (1.0, 0.0)],
+             [(-1.0, -0.0), (-0.0, -0.0)], [(0.0, -0.0), (-0.0, 1.0)],
+             [(1.0, 0.0), (0.0, 0.0)], [(-0.0, 0.0), (0.0, -1.0)]]
+    raw = np.array(parts)
+    vectors = np.empty(raw.shape[:2], dtype=complex)
+    # set part by part: arithmetic such as re + 1j * im would turn a -0.0 real part into 0.0
+    vectors.real, vectors.imag = raw[..., 0], raw[..., 1]
+    return RankOnePovm(2, np.full(6, 1 / 3), vectors)
+
+
 @pytest.mark.parametrize("scheme,d", [("sic", 2), ("sic", 4), ("mub", 5),
-                                      ("clifford", 2), ("clifford", 3), ("clifford", 5)])
+                                      ("clifford", 2), ("clifford", 3), ("clifford", 5),
+                                      ("signed-zeros", 2)])
 def test_gen_document_equals_reference(scheme, d, capsys):
-    argv = ["gen", scheme, "--d", str(d)]
-    data = SCHEMES[scheme].build(d, build_parser().parse_args(argv))
-    ref = povm_to_dict(SCHEMES[scheme].povm(data), scheme, d)
-    if isinstance(data, Fiducial):
-        ref["fiducial_residual"] = data.residual
-    assert ("fiducial_residual" in ref) == (scheme == "sic")
-    code, doc = run_json(capsys, argv)
-    assert code == 0
+    if scheme == "signed-zeros":
+        # the output of no scheme, written by the same encoder that gen uses
+        m = signed_zero_povm()
+        assert np.signbit(m.vectors.real).any() and np.signbit(m.vectors.imag).any()
+        ref = povm_to_dict(m)
+        dump_povm(m)
+        doc = json.loads(capsys.readouterr().out)
+    else:
+        argv = ["gen", scheme, "--d", str(d)]
+        data = SCHEMES[scheme].build(d, build_parser().parse_args(argv))
+        ref = povm_to_dict(SCHEMES[scheme].povm(data), scheme, d)
+        if isinstance(data, Fiducial):
+            ref["fiducial_residual"] = data.residual
+        assert ("fiducial_residual" in ref) == (scheme == "sic")
+        code, doc = run_json(capsys, argv)
+        assert code == 0
     expected = json.loads(json.dumps(ref))
     assert doc == expected
     # same key order and the same repr of every float (== alone equates -0.0 and 0.0)
     assert json.dumps(doc) == json.dumps(expected)
+
+
+@pytest.mark.parametrize("drop,message", [
+    (lambda doc: doc.pop("dim"), "POVM document has no 'dim'"),
+    (lambda doc: doc["elements"][3].pop("vector"), "element 3 has no 'vector'"),
+], ids=["dim", "vector"])
+def test_povm_from_dict_names_a_missing_key(drop, message):
+    doc = povm_to_dict(signed_zero_povm())
+    drop(doc)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        povm_from_dict(doc)
 
 
 @pytest.mark.parametrize("scheme,d,n", [("sic", 2, 4), ("clifford", 3, 216)])
@@ -435,3 +468,66 @@ def test_simulate_is_byte_identical_across_processes(scheme, d, tmp_path, capsys
     assert first.returncode == second.returncode == main(argv)
     assert first.stdout == second.stdout == capsys.readouterr().out.encode()
     assert sum(json.loads(first.stdout)["outcome_histogram"]) == 10 ** 7
+
+
+MODULES_PROBE = """
+import contextlib, io, json, sys
+from entverify.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(json.dumps({"code": code, "loaded": sorted(m for m in sys.modules if m.startswith("entverify."))}))
+"""
+SHARED = ["cli", "jsonio", "linalg", "report", "testops"]
+
+
+@pytest.mark.parametrize("argv,own,code", [
+    (["verify", "mub", "--d", "5"], ["mub"], 0),
+    (["gen", "sic", "--d", "4"], ["sic"], 0),
+    (["verify", "clifford", "--d", "2"], ["clifford"], 0),
+    (["simulate", "--scheme", "mub", "--d", "3", "--fidelity", "0.8", "--seed", "1"],
+     ["mub", "protocol"], 0),
+    (["count", "--d", "3", "--enumerate"], ["clifford"], 0),
+    (["gen", "mub", "--d", "4"], ["mub"], 2),
+])
+def test_each_command_imports_only_its_own_modules(argv, own, code, tmp_path):
+    # a process of its own: the test session has every module loaded already
+    proc = run_python(["-c", MODULES_PROBE, *argv], tmp_path)
+    assert proc.returncode == 0, proc.stderr.decode()
+    doc = json.loads(proc.stdout)
+    assert doc["code"] == code
+    assert doc["loaded"] == sorted(f"entverify.{m}" for m in SHARED + own)
+
+
+def run_module(argv, cwd):
+    return run_python(["-m", "entverify.cli", *argv], cwd)
+
+
+def test_module_entry_writes_whole_documents(tmp_path, capsys):
+    argv = ["gen", "clifford", "--d", "5"]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out.encode()
+    piped = run_module(argv, tmp_path)
+    assert piped.returncode == 0 and piped.stderr == b""
+    assert piped.stdout == expected
+    assert len(json.loads(piped.stdout)["elements"]) == 3000
+    out = tmp_path / "povm.json"
+    written = run_module(argv + ["--out", str(out)], tmp_path)
+    assert written.returncode == 0 and written.stdout == b""
+    assert out.read_bytes() == expected
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["verify", "mub", "--d", "2", "--tol", "1e-18"], 1),
+    (["verify", "mub", "--d", "4"], 2),
+    (["frobnicate"], 2),
+    (["gen", "sic", "--d", "4", "--restarts", "1", "--search-tol", "1e-30"], 3),
+    (["gen", "mub", "--d", "2", "--out", "{afile}/sub/x.json"], 4),
+])
+def test_module_entry_keeps_exit_codes_and_messages(argv, code, tmp_path, capsys):
+    afile = tmp_path / "afile"
+    afile.write_text("not a directory")
+    argv = [a.format(afile=afile) for a in argv]
+    proc = run_module(argv, tmp_path)
+    assert proc.returncode == main(argv) == code
+    captured = capsys.readouterr()
+    assert (proc.stdout.decode(), proc.stderr.decode()) == (captured.out, captured.err)

@@ -3,19 +3,19 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import (all_weyl, canonicalize_phase, frobenius_distance,
-                      invariant_test_double, quantized_key, random_hermitian,
-                      random_unitary, realized_test, reference_closure,
-                      weyl_group)
+from conftest import (all_weyl, canonicalize_phase, character_moments,
+                      frobenius_distance, invariant_test_double, quantized_key,
+                      random_hermitian, random_unitary, realized_test,
+                      reference_closure, weyl_group)
 
 from entverify import clifford, testops
-from entverify.clifford import (NORMALIZER_TOL, character_moments,
-                                clifford_cardinality, clifford_generators,
-                                clifford_povm, clifford_representatives,
-                                coset_povm, enumerate_clifford, is_prime,
-                                normalizes_weyl_group, pair_product_counts,
-                                verify_clifford_identity, weyl, weyl_cosets,
-                                weyl_image_labels)
+from entverify.clifford import (NORMALIZER_TOL, clifford_cardinality,
+                                clifford_generators, clifford_povm,
+                                clifford_representatives, coset_povm,
+                                enumerate_clifford, normalizes_weyl_group,
+                                pair_product_counts, verify_clifford_identity,
+                                weyl, weyl_cosets, weyl_image_labels)
+from entverify.linalg import is_prime
 from entverify.testops import (RankOnePovm, bell_certificate, bell_spectrum,
                                chunks, fourier_matrix, weyl_covariance,
                                weyl_overlaps)

@@ -148,11 +148,12 @@ def test_verify_mub_d29_memory_guard():
 
 
 def test_verify_mub_d61_runtime_and_memory_guard():
-    # the Bell-spectrum certificate takes about 0.5 s and 7.4 MB traced at
-    # d = 61, mostly the 3.7 MB family, which mub_prime holds twice while it
-    # stacks the bases (bound: 7.4 MB + 20 %). 14.8 MB when each basis's Gram
-    # ran over all later bases at once, 26 MB when the covariance Grams ran
-    # over all 62 bases at once, and the dense path took about 10 s and 1.1 GB
+    # the Bell-spectrum certificate takes about 0.5 s and 5.6 MB traced at
+    # d = 61, mostly the 3.7 MB family (bound: 5.6 MB + 20 %). 7.4 MB when
+    # mub_prime held the family twice while it stacked a list of bases,
+    # 14.8 MB when each basis's Gram ran over all later bases at once, 26 MB
+    # when the covariance Grams ran over all 62 bases at once, and the dense
+    # path took about 10 s and 1.1 GB
     tracemalloc.start()
     try:
         start = time.perf_counter()
@@ -163,7 +164,7 @@ def test_verify_mub_d61_runtime_and_memory_guard():
         tracemalloc.stop()
     assert report.overall
     assert elapsed < 3.0, f"verify_mub_identity(61) took {elapsed:.2f} s"
-    assert peak < 9e6, f"verify_mub_identity(61) peaked at {peak / 1e6:.1f} MB"
+    assert peak < 6.7e6, f"verify_mub_identity(61) peaked at {peak / 1e6:.1f} MB"
 
 
 def test_rotated_family_is_not_certified(rng):
