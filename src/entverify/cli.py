@@ -63,7 +63,6 @@ class Scheme:
     build: Callable    # (d, args) -> fiducial, MUB family or Clifford coset representatives
     povm: Callable     # built data -> RankOnePovm of every outcome, which gen writes
     certify: Callable  # (d, built data) -> VerificationReport
-    state: str         # the protocol function (d, fidelity) -> the state that simulate tests
     sampled: Callable | None = None   # built data -> the RankOnePovm simulate reads, if not povm
     gen_fields: Callable = lambda data: {}   # built data -> gen's fields after the elements
 
@@ -101,16 +100,14 @@ def _search_config(args) -> FiducialSearchConfig:
 SCHEMES = _Schemes(
     sic=lambda sic: Scheme(
         12, False, lambda d, args: sic.get_fiducial(d, _search_config(args)),
-        sic.weyl_orbit, sic.verify_sic_identity, "isotropic_state",
+        sic.weyl_orbit, sic.verify_sic_identity,
         gen_fields=lambda f: {"fiducial_residual": f.residual}),
     mub=lambda mub: Scheme(
-        64, True, lambda d, args: mub.mub_prime(d), mub.mub_povm,
-        mub.verify_mub_identity, "isotropic_state"),
+        64, True, lambda d, args: mub.mub_prime(d), mub.mub_povm, mub.verify_mub_identity),
     clifford=lambda clifford: Scheme(
         5, True, lambda d, args: clifford.clifford_representatives(d),
         lambda reps: clifford.clifford_povm(clifford.weyl_cosets(reps)),
-        clifford.verify_clifford_identity, "double_isotropic_state",
-        sampled=clifford.coset_povm),
+        clifford.verify_clifford_identity, sampled=clifford.coset_povm),
 )
 
 
@@ -122,11 +119,6 @@ def _scheme(args) -> Scheme:
         limit = f"{'prime d' if scheme.prime else '2 <= d'} <= {scheme.max_d}"
         raise UsageError(f"{args.scheme} supports {limit}, got d={args.d}")
     return scheme
-
-
-def _metadata(args) -> dict:
-    return {"seed": args.seed, "version": __version__,
-            "created": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())}
 
 
 def _print_report(report: VerificationReport) -> None:
@@ -154,7 +146,8 @@ def cmd_verify(args) -> int:
         # exact integer checks keep tolerance 0; every other check takes --tol
         report.checks = [Check.from_deviation(c.name, c.measured, args.tol)
                          if c.tolerance > 0 else c for c in report.checks]
-    report.metadata.update(_metadata(args))
+    report.metadata.update(seed=args.seed, version=__version__,
+                           created=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()))
     if args.json or args.out:
         dump_json(report.to_dict(), args.out)
     else:
@@ -172,8 +165,8 @@ def cmd_simulate(args) -> int:
         raise UsageError(f"shots must lie in [1, {protocol.MAX_SHOTS}], got {args.shots}")
     scheme = _scheme(args)
     povm = (scheme.sampled or scheme.povm)(scheme.build(d, args))
-    state = getattr(protocol, scheme.state)(d, args.fidelity)
-    transcript = protocol.run_protocol(povm, state, args.shots, args.seed)
+    make_state = protocol.isotropic_state if povm.pairs == 1 else protocol.double_isotropic_state
+    transcript = protocol.run_protocol(povm, make_state(d, args.fidelity), args.shots, args.seed)
     doc = {"schema": 1, "scheme": args.scheme, "d": d, "fidelity": args.fidelity}
     doc.update(transcript.to_dict())
     if args.json or args.out:

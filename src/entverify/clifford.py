@@ -203,20 +203,21 @@ def enumerate_clifford(d: int) -> np.ndarray:
 def clifford_povm(group: np.ndarray) -> RankOnePovm:
     """Uniform POVM {(d^2/|G|) |U/sqrt(d)><U/sqrt(d)|} over the group orbit [n, d, d].
 
-    The kets are the vectorized unitaries; completeness follows from
-    irreducibility of the natural action and is verified, not assumed.
+    The kets are the vectorized unitaries, a two-pair POVM (pairs = 2) on
+    A1A2; completeness follows from irreducibility of the natural action and
+    is verified, not assumed.
     """
     n, d = len(group), group.shape[-1]
     vecs = group.reshape(n, d * d) / np.sqrt(d)
     weights = np.full(n, d * d / n)
-    return RankOnePovm(d * d, weights, vecs)
+    return RankOnePovm(d * d, weights, vecs, pairs=2)
 
 
 def coset_povm(reps: np.ndarray) -> RankOnePovm:
     """The orbit POVM of the cosets {C_j W_k} as one row per representative, each standing for its coset.
 
     Row j is vec(C_j)/sqrt(d) with weight d^2 (d^2/|G|) = d^2/n, the weight
-    of its d^2 elements together, and outcomes_per_row is d^2. It is the
+    of its d^2 elements together, outcomes_per_row is d^2 and pairs is 2. It is the
     orbit for every quantity that reads only |<u|W_a x W_b|u>|, which is the
     same on a whole coset: W_m^dag W_b W_m is a phase times W_b, so
     vec(C W_m) = (I x W_m^T) vec(C) has the overlaps of vec(C) up to phases.
@@ -225,7 +226,7 @@ def coset_povm(reps: np.ndarray) -> RankOnePovm:
     """
     n, d = len(reps), reps.shape[-1]
     weights = np.full(n, d * d / n)
-    return RankOnePovm(d * d, weights, reps.reshape(n, d * d) / np.sqrt(d), outcomes_per_row=d * d)
+    return RankOnePovm(d * d, weights, reps.reshape(n, d * d) / np.sqrt(d), outcomes_per_row=d * d, pairs=2)
 
 
 def _coset_parts(reps: np.ndarray, weight: float):
@@ -297,10 +298,9 @@ def verify_clifford_identity(d: int, reps: np.ndarray | None = None) -> Verifica
     n = len(reps) * d * d
     weight = d * d / n
     c1, c2 = _moments(weyl_traces(reps, fourier_matrix(d)))
-    covariance = block_covariance(_coset_parts(reps, weight), d * d, d, double=True)
+    covariance = block_covariance(_coset_parts(reps, weight), d * d, d)
     completeness = completeness_defect(_coset_parts(reps, weight), d * d)
-    t_dev, cov_dev, trace_dev = spectrum_certificate(bell_spectrum(coset_povm(reps), double=True),
-                                                     covariance)
+    t_dev, cov_dev, trace_dev = spectrum_certificate(bell_spectrum(coset_povm(reps)), covariance)
     checks += [
         Check.from_deviation("cardinality_dev", abs(n - clifford_cardinality(d)), 0),
         Check.from_deviation("completeness_defect", completeness, 1e-10),

@@ -40,36 +40,37 @@ ELEMENT_SEP = ",\n    "
 _ENTRY_BITS = np.dtype((np.void, 16))
 
 
-def vector_to_pairs(v: np.ndarray) -> list:
-    """[re, im] pairs of a complex array, nested like the array (a vector gives a list of pairs)."""
-    v = np.asarray(v, dtype=complex)
-    return np.stack([v.real, v.imag], -1).tolist()
-
-
 def pairs_to_vector(pairs) -> np.ndarray:
     """Complex vector of a list of [re, im] pairs, bit for bit (signed zeros included)."""
-    raw = np.asarray(pairs, dtype=float)
+    raw = np.ascontiguousarray(pairs, dtype=float)
     if raw.ndim != 2 or raw.shape[1] != 2:
         raise ValueError("expected a list of [re, im] pairs")
-    # re + 1j * im would turn a real part of -0.0 into +0.0
-    v = np.empty(len(raw), dtype=complex)
-    v.real, v.imag = raw[:, 0], raw[:, 1]
-    return v
+    return raw.view(complex).ravel()   # the bits as they are; re + 1j * im would turn -0.0 into 0.0
 
 
 def _field(data: dict, key: str, where: str):
-    try:
-        return data[key]
-    except KeyError:
-        raise ValueError(f"{where} has no {key!r}") from None
+    """data[key]; a ValueError unless data is an object with that key."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{where} is not an object")
+    if key not in data:
+        raise ValueError(f"{where} has no {key!r}")
+    return data[key]
 
 
 def povm_from_dict(data: dict) -> RankOnePovm:
-    """The POVM of a document that dump_povm wrote; a ValueError names a missing key."""
-    if data.get("kind") != "povm":
+    """The POVM of a document that dump_povm wrote; a one-line ValueError names a bad key or element.
+
+    A document does not record the pair count, so the POVM has pairs = 1:
+    a Clifford orbit reads back as a one-pair POVM on C^(d^2).
+    """
+    if not isinstance(data, dict) or data.get("kind") != "povm":
         raise ValueError("not a POVM document")
-    dim = int(_field(data, "dim", "POVM document"))
+    dim = _field(data, "dim", "POVM document")
+    if type(dim) is not int or dim < 1:   # not a bool, float or str, which int() would take
+        raise ValueError(f"POVM document 'dim' is not a positive integer: {dim!r}")
     elements = _field(data, "elements", "POVM document")
+    if not isinstance(elements, list) or not elements:
+        raise ValueError("POVM document 'elements' is not a non-empty list")
     weights = [_field(el, "weight", f"element {i}") for i, el in enumerate(elements)]
     vectors = [pairs_to_vector(_field(el, "vector", f"element {i}")) for i, el in enumerate(elements)]
     return RankOnePovm(dim, np.asarray(weights), np.stack(vectors))

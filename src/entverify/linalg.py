@@ -64,14 +64,9 @@ class FiducialSearchError(RuntimeError):
             f"(best residual {best_residual:.3e})")
 
 
-def hermiticity_defect(a: np.ndarray) -> float:
-    a = np.asarray(a)
-    return float(np.max(np.abs(a - a.conj().T)))
-
-
 def require_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL, name: str = "matrix") -> np.ndarray:
     a = np.asarray(a)
-    defect = hermiticity_defect(a)
+    defect = float(np.max(np.abs(a - a.conj().T)))
     if defect > tol:
         raise ValueError(f"{name} is not Hermitian (max |A - A^dag| = {defect:.3e})")
     return a

@@ -41,9 +41,9 @@ MAX_SHOTS = 2 ** 63 - 1   # counts are returned as int64
 class BellDiagonalState:
     """State diagonal on the Bell basis, given by its spectrum over Weyl labels.
 
-    One pair ("single"): spectrum r of shape (d^2,), the state
+    One pair: spectrum r of shape (d^2,), the state
     sum_k r_k |Phi_k><Phi_k| with |Phi_k> = (W_k x I)|phi> (Weyl labels as in
-    the testops module docstring). Two pairs ("double"): shape (d^2, d^2), the
+    the testops module docstring). Two pairs: shape (d^2, d^2), the
     state sum_kl r_kl |Phi_k><Phi_k| x |Phi_l><Phi_l| on the pairs (A1,B1),
     (A2,B2), in canonical factor order A1,A2,B1,B2.
     """
@@ -63,8 +63,8 @@ class BellDiagonalState:
         self.spectrum = r
 
     @property
-    def party_structure(self) -> str:
-        return "single" if self.spectrum.ndim == 1 else "double"
+    def pairs(self) -> int:
+        return self.spectrum.ndim
 
 
 @dataclass(eq=False)
@@ -131,12 +131,12 @@ def outcome_distribution(m: RankOnePovm, s: BellDiagonalState) -> tuple[np.ndarr
     every |<u|V_k|u>| is the same. Each row's values are computed once and
     repeated, so both arrays list every outcome, coset by coset.
     Outcomes with probability below 1e-15 are assigned conditional rejection,
-    which keeps the zero-probability branch free of 0/0.
+    which keeps the zero-probability branch free of 0/0. The POVM must act
+    on the state's pairs: the same pair count and local dimension.
     """
     d, u = s.local_dim, m.vectors
-    single = s.party_structure == "single"
-    if m.dim != (d if single else d * d):
-        raise ValueError(f"POVM dimension {m.dim} does not match a {s.party_structure} state at d={d}")
+    if (m.pairs, m.local_dim) != (s.pairs, d):
+        raise ValueError(f"a {m.pairs}-pair POVM at d={m.local_dim} does not fit a {s.pairs}-pair state at d={d}")
     norm2 = squared_norms(u)
     q = np.clip(m.weights * norm2 / m.dim, 0, None)
     if abs(q.sum() - 1) > MARGINAL_TOL:

@@ -83,8 +83,12 @@ def sic_check(m: RankOnePovm, tol: float = ANALYTIC_TOL) -> VerificationReport:
     The realized-test identity comes from testops.bell_certificate with the
     whole POVM as one block: X and Z must map the orbit onto itself.
     """
+    return _sic_report(m, np.abs(m.vectors.conj() @ m.vectors.T) ** 2, tol)
+
+
+def _sic_report(m: RankOnePovm, overlap_sq: np.ndarray, tol: float) -> VerificationReport:
+    """sic_check, given the squared moduli overlap_sq = |<u_i|u_j>|^2 of the vector Gram."""
     d = m.dim
-    overlap_sq = np.abs(m.vectors.conj() @ m.vectors.T) ** 2
     off = ~np.eye(m.n_elements, dtype=bool)
     overlap_dev = float(np.max(np.abs(overlap_sq[off] - 1 / (d + 1)))) if m.n_elements > 1 else 0.0
     weight_dev = float(np.max(np.abs(m.weights - 1 / d)))
@@ -209,8 +213,9 @@ def verify_sic_identity(d: int, f: Fiducial) -> VerificationReport:
     """
     tol = ANALYTIC_TOL if f.residual < 1e-12 else SEARCH_IDENTITY_TOL
     m = weyl_orbit(f)
-    report = sic_check(m, tol)
-    gram_rank = numerical_rank(np.abs(m.vectors.conj() @ m.vectors.T) ** 2)
+    overlap_sq = np.abs(m.vectors.conj() @ m.vectors.T) ** 2   # formed once for both checks
+    report = _sic_report(m, overlap_sq, tol)
+    gram_rank = numerical_rank(overlap_sq)
     target_rank = int(np.count_nonzero(invariant_bell_spectrum(d) > RANK_TOL))
     report.checks += [
         Check.from_deviation("gram_rank_dev", abs(gram_rank - d * d), 0),

@@ -5,9 +5,10 @@ T = sum_i p_i |u_i x conj(u_i)><u_i x conj(u_i)| (Alice measures, Bob projects
 onto the conjugate vector). Its vectors are a tensor of one Weyl factor
 (SIC, MUB: u_i in C^d, one subsystem pair) or of two (the Clifford orbit:
 u_i = vec(U_i)/sqrt(d) in C^d x C^d, two pairs in canonical factor order
-A1,A2,B1,B2). bell_certificate reads T's diagonal on the Bell basis from the
-Weyl overlaps of the vectors and bounds its off-diagonal part from their
-Weyl covariance, so T, of dimension d^2 or d^4, is never formed.
+A1,A2,B1,B2), a count the POVM carries (RankOnePovm.pairs). bell_certificate
+reads T's diagonal on the Bell basis from the Weyl overlaps of the vectors
+and bounds its off-diagonal part from their Weyl covariance, so T, of
+dimension d^2 or d^4, is never formed.
 
 The package has one Weyl transform for operators on any number of factors
 of C^d: a gather of shifted diagonals and one Fourier product. weyl_traces
@@ -62,12 +63,16 @@ class RankOnePovm:
     rows then give the Bell spectrum and the outcome distribution of all
     k n outcomes, but they do not sum to the identity, so completeness is
     checked only at k = 1, and the covariance needs every outcome.
+
+    pairs (1 or 2) counts the subsystem pairs of the realized test, set where
+    the POVM is built; at 2, dim is the square of local_dim = d (C^d x C^d).
     """
 
     dim: int
     weights: np.ndarray
     vectors: np.ndarray
     outcomes_per_row: int = 1
+    pairs: int = 1
     check_completeness: InitVar[bool] = True
 
     def __post_init__(self, check_completeness: bool):
@@ -86,6 +91,8 @@ class RankOnePovm:
             raise ValueError("POVM vectors must be unit norm")
         if not isinstance(self.outcomes_per_row, numbers.Integral) or self.outcomes_per_row < 1:
             raise ValueError(f"outcomes_per_row must be a positive integer, got {self.outcomes_per_row!r}")
+        if self.pairs not in (1, 2) or self.local_dim ** self.pairs != self.dim:
+            raise ValueError(f"pairs must be 1, or 2 with a square dim; got pairs={self.pairs!r} at dim {self.dim}")
         if check_completeness and self.outcomes_per_row == 1:
             defect = self.completeness_defect()
             if defect > COMPLETENESS_TOL:
@@ -94,6 +101,10 @@ class RankOnePovm:
     @property
     def n_elements(self) -> int:
         return self.vectors.shape[0]
+
+    @property
+    def local_dim(self) -> int:
+        return self.dim if self.pairs == 1 else isqrt(self.dim)
 
     def completeness_defect(self) -> float:
         """Max-entry deviation of sum_i p_i |u_i><u_i| from the identity, summed over chunks of rows."""
@@ -238,17 +249,7 @@ def squared_weyl_overlaps(u: np.ndarray, d: int):
         yield rows, mod
 
 
-def _local_dim(m: RankOnePovm, double: bool) -> int:
-    """The size d of each Weyl factor: m.dim for one factor, sqrt(m.dim) for two."""
-    if not double:
-        return m.dim
-    d = isqrt(m.dim)
-    if d * d != m.dim:
-        raise ValueError(f"two-pair POVM dimension {m.dim} is not a perfect square")
-    return d
-
-
-def invariant_bell_spectrum(d: int, double: bool = False) -> np.ndarray:
+def invariant_bell_spectrum(d: int, pairs: int = 1) -> np.ndarray:
     """Bell-basis eigenvalues of the optimal invariant test on one or two pairs.
 
     One pair, P + (I - P)/(d+1) with P the projector onto the maximally
@@ -256,7 +257,7 @@ def invariant_bell_spectrum(d: int, double: bool = False) -> np.ndarray:
     P x P + (I - P) x (I - P)/(d^2 - 1) in pair order: 1 at (0, 0),
     1/(d^2 - 1) where k != 0 and l != 0, and 0 elsewhere, shape (d^2, d^2).
     """
-    if double:
+    if pairs == 2:
         lam = np.zeros((d * d, d * d))
         lam[1:, 1:] = 1 / (d * d - 1)
     else:
@@ -265,29 +266,29 @@ def invariant_bell_spectrum(d: int, double: bool = False) -> np.ndarray:
     return lam
 
 
-def bell_spectrum(m: RankOnePovm, double: bool = False) -> np.ndarray:
+def bell_spectrum(m: RankOnePovm) -> np.ndarray:
     """Bell-basis diagonal of the realized test: lambda_k = (1/D) sum_i p_i |<u_i|V_k|u_i>|^2.
 
-    D = m.dim. One factor: V_k = W_k, the Bell vector of label k is
-    (W_k x I)|phi>, and the result has shape (d^2,). Two factors (double):
+    D = m.dim. One pair: V_k = W_k, the Bell vector of label k is
+    (W_k x I)|phi>, and the result has shape (d^2,). Two pairs (m.pairs = 2):
     V_kl = W_k x W_l on A1A2, the Bell vector of (k, l) is (W_k x I)|phi> on
     (A1,B1) times (W_l x I)|phi> on (A2,B2), and the result has shape
     (d^2, d^2). The overlaps come from squared_weyl_overlaps; no D^2 x D^2
     array is formed. The O(n d^3) transforms cost less than the O(d^5) MUB
     Gram checks.
     """
-    d = _local_dim(m, double)
+    d = m.local_dim
     lam = np.zeros(m.dim ** 2)
     for rows, mod2 in squared_weyl_overlaps(m.vectors, d):
         lam += m.weights[rows] @ mod2
-    return (lam / m.dim).reshape((d * d,) * (1 + double))
+    return (lam / m.dim).reshape((d * d,) * m.pairs)
 
 
-def weyl_covariance(m: RankOnePovm, block: int, double: bool = False) -> tuple[float, float]:
+def weyl_covariance(m: RankOnePovm, block: int) -> tuple[float, float]:
     """(deviation, off-diagonal bound) for the claim that the Weyl generators map each block onto itself.
 
     The generators are the shift X and the clock Z on each factor: X and Z
-    for one factor, X x I, Z x I, I x X and I x Z for two (double). The
+    for one factor, X x I, Z x I, I x X and I x Z for two (m.pairs = 2). The
     elements come in consecutive blocks of `block` (one basis of a MUB
     family; a whole SIC orbit; one Weyl coset {C W_k} of the Clifford orbit).
     For each generator g and each element i, sigma(i) is the element of i's
@@ -324,31 +325,32 @@ def weyl_covariance(m: RankOnePovm, block: int, double: bool = False) -> tuple[f
     Frobenius norm at most sqrt(sum_g delta_g^2) / (2 sin(pi/d)), which is
     the second value returned.
     """
-    d, n = _local_dim(m, double), m.n_elements
+    n = m.n_elements
     if m.outcomes_per_row != 1:
         raise ValueError("the covariance needs every outcome, not one row per group of outcomes")
     if n == 0 or n % block:
         raise ValueError(f"{n} elements do not split into blocks of {block}")
     groups = chunks(n // block, block * max(block, m.dim))
     return block_covariance(((m.vectors[g.start * block:g.stop * block],
-                              m.weights[g.start * block:g.stop * block]) for g in groups), block, d, double)
+                              m.weights[g.start * block:g.stop * block]) for g in groups), block, m.local_dim)
 
 
-def block_covariance(parts, block: int, d: int, double: bool = False) -> tuple[float, float]:
+def block_covariance(parts, block: int, d: int) -> tuple[float, float]:
     """weyl_covariance of the elements given as (vectors, weights) parts, each of whole blocks.
 
+    The factor count comes from the vector length, d^f for f factors of C^d.
     The deviation and the per-generator sums delta_g accumulate over all
     parts, and the bound is formed once from the sums, so it is the same
     quantity however the elements are split.
     """
     clock = np.exp(2j * np.pi * np.arange(d) / d)
-    dev, deltas = 0.0, np.zeros(2 + 2 * double)
+    dev, deltas = 0.0, 0.0
     for vectors, p in parts:
         flat = vectors.reshape(-1, block, vectors.shape[1])
-        u = flat.reshape(flat.shape[:2] + (d,) * (1 + double))   # one axis per factor
+        u = flat.reshape(flat.shape[:2] + (d,) * _factor_count(vectors.shape[1], d))   # one axis per factor
         norm = np.sqrt(squared_norms(vectors))
         offsets = np.repeat(np.arange(0, len(p), block), block)
-        g = 0
+        sums = []
         for axis in range(2, u.ndim):
             # rows g u_i for the shift X|k> = |k+1> and the clock Z|k> = w^k |k> on this factor
             on_axis = clock.reshape((d,) + (1,) * (u.ndim - 1 - axis))
@@ -365,19 +367,19 @@ def block_covariance(parts, block: int, d: int, double: bool = False) -> tuple[f
                 weight_defect = np.abs(p - p[sigma])
                 dev = max(dev, float(eps.max()), float(weight_defect.max()), float(mult_defect.max()))
                 ns = norm[sigma]
-                deltas[g] += (np.sum(p * eps * (norm + ns) * (norm ** 2 + ns ** 2))
-                              + weight_defect @ ns ** 4 + mult_defect @ (p * norm ** 4))
-                g += 1
+                sums.append(np.sum(p * eps * (norm + ns) * (norm ** 2 + ns ** 2))
+                            + weight_defect @ ns ** 4 + mult_defect @ (p * norm ** 4))
+        deltas = deltas + np.array(sums)
     return dev, float(np.linalg.norm(deltas) / (2 * np.sin(np.pi / d)))
 
 
-def bell_certificate(m: RankOnePovm, block: int, double: bool = False) -> tuple[float, float, float]:
+def bell_certificate(m: RankOnePovm, block: int) -> tuple[float, float, float]:
     """(t_identity_dev, weyl_covariance_dev, trace_dev) of a one- or two-pair POVM, without T.
 
     If the Weyl generators map each block of `block` elements onto itself up
     to phases with equal weights (weyl_covariance), the realized test T
     commutes with every C_g and is diagonal on the Bell basis, with the
-    eigenvalues bell_spectrum(m, double). t_identity_dev is
+    eigenvalues bell_spectrum(m). t_identity_dev is
       sqrt(||bell_spectrum - invariant_bell_spectrum||^2 + b^2),
     with b the weyl_covariance bound on T's off-diagonal part on the Bell
     basis, so it bounds the Frobenius distance from T to the invariant test
@@ -389,14 +391,13 @@ def bell_certificate(m: RankOnePovm, block: int, double: bool = False) -> tuple[
     |Tr T - D|, with Tr T the sum of the spectrum and D = m.dim the trace of
     the invariant test on one pair or two.
     """
-    covariance = weyl_covariance(m, block, double)
-    return spectrum_certificate(bell_spectrum(m, double), covariance)
+    return spectrum_certificate(bell_spectrum(m), weyl_covariance(m, block))
 
 
 def spectrum_certificate(spectrum: np.ndarray, covariance: tuple[float, float]) -> tuple[float, float, float]:
     """bell_certificate's (t_identity_dev, weyl_covariance_dev, trace_dev) from a Bell spectrum
-    of shape (d^2,) or (d^2, d^2) and the (deviation, bound) of its POVM's Weyl covariance."""
+    of shape (d^2,) or (d^2, d^2) (one axis per pair) and the (deviation, bound) of its POVM's covariance."""
     cov_dev, off_bound = covariance
-    d, double = isqrt(spectrum.shape[0]), spectrum.ndim == 2
-    diag = np.linalg.norm(spectrum - invariant_bell_spectrum(d, double))
-    return float(np.hypot(diag, off_bound)), cov_dev, abs(float(spectrum.sum()) - d ** (1 + double))
+    d, pairs = isqrt(spectrum.shape[0]), spectrum.ndim
+    diag = np.linalg.norm(spectrum - invariant_bell_spectrum(d, pairs))
+    return float(np.hypot(diag, off_bound)), cov_dev, abs(float(spectrum.sum()) - d ** pairs)

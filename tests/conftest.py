@@ -1,5 +1,4 @@
 from dataclasses import dataclass
-from math import isqrt
 
 import numpy as np
 import pytest
@@ -48,19 +47,19 @@ def require_psd(a: np.ndarray, tol: float, name: str = "matrix") -> np.ndarray:
 class TestOperator:
     """Hermitian operator T with 0 <= T <= I; acceptance on rho is Tr(T rho).
 
-    party_structure is "single" for a test on H_d x H_d and "double" for a
-    test on (H_d x H_d) x (H_d x H_d) in canonical factor order A1,A2,B1,B2.
+    pairs is 1 for a test on H_d x H_d and 2 for a test on
+    (H_d x H_d) x (H_d x H_d) in canonical factor order A1,A2,B1,B2.
     """
 
     matrix: np.ndarray
     local_dim: int
-    party_structure: str
+    pairs: int
 
     def __post_init__(self):
         self.matrix = require_finite(np.asarray(self.matrix, dtype=complex), "test operator")
-        if self.party_structure not in ("single", "double"):
-            raise ValueError(f"unknown party_structure {self.party_structure!r}")
-        expected = self.local_dim ** (2 if self.party_structure == "single" else 4)
+        if self.pairs not in (1, 2):
+            raise ValueError(f"unknown pair count {self.pairs!r}")
+        expected = self.local_dim ** (2 * self.pairs)
         if self.matrix.shape != (expected, expected):
             raise ValueError(f"expected {expected}x{expected} matrix, got {self.matrix.shape}")
         require_hermitian(self.matrix, name="test operator")
@@ -84,7 +83,7 @@ def invariant_test_single(d: int) -> TestOperator:
     phi = max_entangled(d)
     p = np.outer(phi, phi.conj())
     t = p + (np.eye(d * d) - p) / (d + 1)
-    return TestOperator(t, d, "single")
+    return TestOperator(t, d, 1)
 
 
 def invariant_test_double(d: int) -> TestOperator:
@@ -98,7 +97,7 @@ def invariant_test_double(d: int) -> TestOperator:
     q = np.eye(d * d) - p
     prod = np.kron(p, p) + np.kron(q, q) / (d * d - 1)
     t = permute_subsystems(prod, [d, d, d, d], [0, 2, 1, 3])
-    return TestOperator(t, d, "double")
+    return TestOperator(t, d, 2)
 
 
 def permute_subsystems(a: np.ndarray, dims: list[int], perm: list[int]) -> np.ndarray:
@@ -122,12 +121,11 @@ def paired_vectors(vectors: np.ndarray) -> np.ndarray:
     return (vectors[:, :, None] * vectors.conj()[:, None, :]).reshape(n, -1)
 
 
-def realized_test(m: RankOnePovm, double: bool = False,
-                  require_complete: bool = True) -> TestOperator:
+def realized_test(m: RankOnePovm, require_complete: bool = True) -> TestOperator:
     """Realized test operator sum_i p_i |u_i x conj(u_i)><u_i x conj(u_i)|.
 
-    With double=True the POVM acts on a d^2-dimensional composite A-side and
-    the result is tagged with canonical factor order A1,A2,B1,B2.
+    For a two-pair POVM (m.pairs = 2) the A-side is d^2-dimensional and the
+    result is tagged with canonical factor order A1,A2,B1,B2.
     """
     if require_complete:
         defect = m.completeness_defect()
@@ -137,12 +135,7 @@ def realized_test(m: RankOnePovm, double: bool = False,
     left = pairs.T * m.weights
     # conjugate in place so the product holds two n x dim^2 arrays, not three
     t = left @ np.conj(pairs, out=pairs)
-    if double:
-        d = isqrt(m.dim)
-        if d * d != m.dim:
-            raise ValueError(f"double-system POVM dimension {m.dim} is not a perfect square")
-        return TestOperator(t, d, "double")
-    return TestOperator(t, m.dim, "single")
+    return TestOperator(t, m.local_dim, m.pairs)
 
 
 def acceptance_probability(t: TestOperator, rho: np.ndarray, tol: float = 1e-10) -> float:
@@ -164,7 +157,7 @@ def dense_rho(state) -> np.ndarray:
     bell = np.zeros((d, d, d, d), dtype=complex)      # [a, b, x, y] = <x y|Phi_ab>
     bell[k[:, None], :, (k[:, None] + k) % d, k] = fourier_matrix(d) / np.sqrt(d)
     bell = bell.reshape(d * d, d, d)
-    if state.party_structure == "double":
+    if state.pairs == 2:
         bell = np.einsum("kac,lbd->klabcd", bell, bell)
     bell = bell.reshape(state.spectrum.size, -1)
     return bell.T @ (state.spectrum.reshape(-1, 1) * bell.conj())
@@ -375,7 +368,7 @@ def random_spectrum(rng: np.random.Generator, d: int, party: str) -> np.ndarray:
 
 def analytic_acceptance(t, s) -> float:
     """Exact acceptance probability Tr(T rho) of a test on a state with a dense rho."""
-    if (t.local_dim, t.party_structure) != (s.local_dim, s.party_structure):
+    if (t.local_dim, t.pairs) != (s.local_dim, s.pairs):
         raise ValueError("test and state live on different systems")
     return acceptance_probability(t, dense_rho(s))
 

@@ -131,11 +131,11 @@ def test_criterion_07_clifford_identity():
     for d, tol in ((2, 1e-10), (3, 1e-9)):
         povm = clifford_povm(group(d))
         assert povm.completeness_defect() < 1e-10
-        t = realized_test(povm, double=True)
+        t = realized_test(povm)
         dist = frobenius_distance(t.matrix, invariant_test_double(d).matrix)
         assert dist < tol, f"d={d}: {dist:.3e}"
         assert abs(np.trace(t.matrix).real - d * d) < 1e-9
-    control = realized_test(clifford_povm(weyl_group(2)), double=True)
+    control = realized_test(clifford_povm(weyl_group(2)))
     control_dist = frobenius_distance(control.matrix, invariant_test_double(2).matrix)
     assert control_dist > 0.1
     print(f"[criterion 07] PASS clifford identity d=2,3; weyl control dist {control_dist:.2f}")
@@ -155,7 +155,7 @@ def test_criterion_08_character_conditions():
 def test_criterion_09_pair_action_invariance():
     """The realized test is invariant under the paired group action."""
     g = group(2)
-    t = realized_test(clifford_povm(g), double=True).matrix
+    t = realized_test(clifford_povm(g)).matrix
     rng = np.random.default_rng(7)
     moves = []
     for _ in range(20):

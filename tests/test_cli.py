@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -10,8 +11,8 @@ import pytest
 
 from entverify import clifford
 from entverify.cli import SCHEMES, build_parser, main
-from entverify.jsonio import (dump_povm, pairs_to_vector, povm_from_dict,
-                              vector_to_pairs)
+from entverify.jsonio import (_entry_texts, dump_povm, pairs_to_vector,
+                              povm_from_dict)
 from entverify.mub import mub_povm, mub_prime
 from entverify.sic import Fiducial, known_fiducial, weyl_orbit
 from entverify.testops import RankOnePovm
@@ -162,6 +163,37 @@ def test_povm_from_dict_names_a_missing_key(drop, message):
         povm_from_dict(doc)
 
 
+@pytest.mark.parametrize("key,value,message", [
+    ("elements", 3, "POVM document 'elements' is not a non-empty list"),
+    ("elements", [], "POVM document 'elements' is not a non-empty list"),
+    ("element", 7, "element 2 is not an object"),
+    ("dim", "x", "POVM document 'dim' is not a positive integer: 'x'"),
+    ("dim", 2.7, "POVM document 'dim' is not a positive integer: 2.7"),
+    ("dim", "2", "POVM document 'dim' is not a positive integer: '2'"),
+    ("dim", True, "POVM document 'dim' is not a positive integer: True"),
+], ids=["elements-int", "elements-empty", "element-int", "dim-text", "dim-float", "dim-digits", "dim-bool"])
+def test_povm_from_dict_names_a_malformed_key(key, value, message):
+    doc = povm_to_dict(signed_zero_povm())
+    if key == "element":
+        doc["elements"][2] = value
+    else:
+        doc[key] = value
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        povm_from_dict(doc)
+
+
+@pytest.mark.parametrize("scheme,d", [("sic", 4), ("mub", 5), ("clifford", 3)])
+def test_gen_documents_parse_to_their_povm(scheme, d, capsys):
+    # a document does not record the pair count, so the orbit reads back as one pair on C^(d^2)
+    argv = ["gen", scheme, "--d", str(d)]
+    code, doc = run_json(capsys, argv)
+    assert code == 0
+    m = povm_from_dict(doc)
+    want = SCHEMES[scheme].povm(SCHEMES[scheme].build(d, build_parser().parse_args(argv)))
+    assert m.pairs == 1 and m.dim == want.dim
+    assert np.array_equal(m.vectors, want.vectors) and np.array_equal(m.weights, want.weights)
+
+
 @pytest.mark.parametrize("scheme,d,n", [("sic", 2, 4), ("clifford", 3, 216)])
 def test_gen_writes_one_line_per_element(scheme, d, n, capsys):
     assert main(["gen", scheme, "--d", str(d)]) == 0
@@ -183,16 +215,17 @@ def test_gen_stdout_and_out_file_are_the_same_bytes(argv, tmp_path, capsys):
     assert out.read_bytes() == stdout.encode()
 
 
-def test_vector_to_pairs_matches_entrywise_reference(rng):
+def test_entry_texts_match_entrywise_reference(rng):
     v = rng.standard_normal(64) + 1j * rng.standard_normal(64)
     v[:4] = [-0.0, complex(0.0, -0.0), 5e-324 - 1e308j, 1e-300 + 1j]
+    v[40:48] = v[:8]   # repeated entries take the text of their first occurrence
     ref = [[z.real, z.imag] for z in v]
-    # json.dumps compares the repr of each float, so -0.0 and 0.0 differ
-    assert json.dumps(vector_to_pairs(v)) == json.dumps(ref)
-    rows = [ref[i:i + 8] for i in range(0, 64, 8)]
-    assert json.dumps(vector_to_pairs(v.reshape(8, 8))) == json.dumps(rows)
-    # the pairs read back bit for bit, signed zeros included
-    assert pairs_to_vector(vector_to_pairs(v)).tobytes() == v.tobytes()
+    # json.dumps writes the repr of each float, so -0.0 and 0.0 differ
+    rows = [[json.dumps(pair) for pair in ref[i:i + 8]] for i in range(0, 64, 8)]
+    assert _entry_texts(v.reshape(8, 8)) == rows
+    # the texts read back bit for bit, signed zeros included
+    text = "[" + ", ".join(_entry_texts(v[None])[0]) + "]"
+    assert pairs_to_vector(json.loads(text)).tobytes() == v.tobytes()
     assert pairs_to_vector(ref).tobytes() == v.tobytes()
 
 

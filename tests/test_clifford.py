@@ -307,11 +307,11 @@ def test_verify_identity_d5_reports_group_checks():
 
 def test_weyl_subgroup_negative_control():
     m = clifford_povm(weyl_group(2))
-    t = realized_test(m, double=True)
+    t = realized_test(m)
     dist = frobenius_distance(t.matrix, invariant_test_double(2).matrix)
     assert dist > 0.1
     # the Weyl orbit is Weyl covariant, so the certificate reads the same distance
-    t_dev, cov_dev, _ = bell_certificate(m, m.n_elements, double=True)
+    t_dev, cov_dev, _ = bell_certificate(m, m.n_elements)
     assert t_dev > 0.1 and abs(t_dev - dist) <= 1e-12
     assert cov_dev <= 1e-14
 
@@ -330,10 +330,10 @@ def test_rotated_orbit_fails_weyl_covariance(rng, d):
     local = [np.kron(np.eye(d), random_unitary(rng, d)), np.kron(circulant, np.eye(d)),
              np.kron(np.eye(d), diagonal)]
     for i, rotation in enumerate([random_unitary(rng, d * d)] + local):
-        rotated = RankOnePovm(d * d, m.weights, m.vectors @ rotation.T)
-        dist = frobenius_distance(realized_test(rotated, double=True).matrix,
+        rotated = RankOnePovm(d * d, m.weights, m.vectors @ rotation.T, pairs=2)
+        dist = frobenius_distance(realized_test(rotated).matrix,
                                   invariant_test_double(d).matrix)
-        t_dev, cov_dev, _ = bell_certificate(rotated, rotated.n_elements, double=True)
+        t_dev, cov_dev, _ = bell_certificate(rotated, rotated.n_elements)
         assert cov_dev > 0.1
         assert t_dev >= dist
         assert i == 0 or dist <= 1e-12
@@ -341,7 +341,7 @@ def test_rotated_orbit_fails_weyl_covariance(rng, d):
 
 def test_group_pair_invariance(rng):
     group = enumerate_clifford(2)
-    t = realized_test(clifford_povm(group), double=True).matrix
+    t = realized_test(clifford_povm(group)).matrix
     n = len(group)
     for _ in range(20):
         g1 = group[rng.integers(n)]
@@ -374,9 +374,9 @@ def test_representative_spectrum_matches_the_whole_orbit(d):
     mod2 = np.abs(weyl_overlaps(m.vectors, fourier_matrix(d)).reshape(m.n_elements, -1)) ** 2
     terms = m.weights[:, None] * mod2 / m.dim
     exact = np.array([math.fsum(column) for column in terms.T]).reshape(d * d, d * d)
-    spectrum = bell_spectrum(coset_povm(reps), double=True)
+    spectrum = bell_spectrum(coset_povm(reps))
     assert np.max(np.abs(spectrum - exact)) <= 1e-15
-    assert np.max(np.abs(spectrum - bell_spectrum(m, double=True))) <= 1e-14
+    assert np.max(np.abs(spectrum - bell_spectrum(m))) <= 1e-14
 
 
 def test_coset_povm_weights_each_representative_by_its_coset():
@@ -442,7 +442,7 @@ def test_covariance_bound_does_not_depend_on_the_chunks(monkeypatch, rng):
     # Per-chunk bounds added up would exceed it
     reps = clifford_representatives(3)
     reps[[2, 20]] = [random_unitary(rng, 3), random_unitary(rng, 3)]
-    dev, bound = weyl_covariance(clifford_povm(weyl_cosets(reps)), 9, double=True)
+    dev, bound = weyl_covariance(clifford_povm(weyl_cosets(reps)), 9)
     reports = []
     for chunk in (81, 2 ** 16):
         monkeypatch.setattr(testops, "BELL_CHUNK", chunk)

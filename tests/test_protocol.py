@@ -128,12 +128,24 @@ def test_two_step_equals_trace_formula():
     assert abs(float(q @ accept) - analytic) < 1e-10
 
 
+def test_outcome_distribution_rejects_a_povm_on_other_pairs():
+    # each pair of POVM and state has dim 4 on Alice's side, but not the same pairs
+    sic, reps = weyl_orbit(get_fiducial(4)), clifford_representatives(2)
+    cases = [(coset_povm(reps), isotropic_state(4, 0.8), "a 2-pair POVM at d=2 does not fit a 1-pair state at d=4"),
+             (sic, double_isotropic_state(2, 0.8), "a 1-pair POVM at d=4 does not fit a 2-pair state at d=2")]
+    for m, s, message in cases:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            outcome_distribution(m, s)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_protocol(m, s, 100, 0)
+
+
 def test_weyl_control_two_step_equivalence():
     # equivalence holds for any complete POVM, not only scheme POVMs
     m = clifford_povm(weyl_group(2))
     s = double_isotropic_state(2, 0.6)
     q, accept = outcome_distribution(m, s)
-    analytic = analytic_acceptance(realized_test(m, double=True), s)
+    analytic = analytic_acceptance(realized_test(m), s)
     assert abs(float(q @ accept) - analytic) < 1e-10
 
 
@@ -222,8 +234,8 @@ def test_spectrum_validation(spectrum, match):
 
 def test_spectrum_within_tolerance_is_accepted():
     s = BellDiagonalState(2, [0.5 + 1e-10, 0.25, 0.25, -0.5e-10])   # sums to 1 + 0.5e-10
-    assert s.party_structure == "single"
-    assert BellDiagonalState(2, np.full((4, 4), 1 / 16)).party_structure == "double"
+    assert s.pairs == 1
+    assert BellDiagonalState(2, np.full((4, 4), 1 / 16)).pairs == 2
 
 
 def reference_outcome_distribution(m, rho):
@@ -445,7 +457,7 @@ def test_count_and_per_shot_samplers_within_5_sigma(rng, party):
 def test_analytic_is_trace_of_realized_test(rng, party):
     m, s = _povm_and_state(rng, party)
     t = run_protocol(m, s, 1000, 0)
-    expected = acceptance_probability(realized_test(m, double=(party == "double")), dense_rho(s))
+    expected = acceptance_probability(realized_test(m), dense_rho(s))
     assert abs(t.analytic - expected) <= 1e-12
 
 

@@ -1,4 +1,3 @@
-from math import isqrt
 
 import numpy as np
 import pytest
@@ -156,13 +155,34 @@ def test_povm_constructor_rejects_a_bad_outcome_count(k):
         RankOnePovm(2, np.array([1.0, 1.0]), np.eye(2, dtype=complex), outcomes_per_row=k)
 
 
+@pytest.mark.parametrize("dim,pairs", [(2, 2), (8, 2), (4, 3), (4, 0)])
+def test_povm_constructor_rejects_a_bad_pair_count(dim, pairs):
+    # two pairs need a square dim, and no POVM here acts on three pairs or none
+    with pytest.raises(ValueError, match="pairs must be 1, or 2 with a square dim") as info:
+        RankOnePovm(dim, np.ones(dim), np.eye(dim, dtype=complex), pairs=pairs)
+    assert "\n" not in str(info.value)
+
+
+def test_pair_count_comes_from_the_povm():
+    # a SIC at d = 4 and the Clifford orbit at d = 2 both act on C^4: the pair
+    # count each POVM carries, not a flag of the caller, shapes the spectrum
+    sic = weyl_orbit(search_fiducial(4, FiducialSearchConfig(seed=0)))
+    orbit = clifford_povm(enumerate_clifford(2))
+    assert sic.dim == orbit.dim == 4
+    assert (sic.pairs, sic.local_dim, orbit.pairs, orbit.local_dim) == (1, 4, 2, 2)
+    assert bell_spectrum(sic).shape == (16,) and bell_spectrum(orbit).shape == (4, 4)
+    for m, block, tol in ((sic, 16, 1e-7), (orbit, 4, 1e-12)):
+        t_dev, cov_dev, trace_dev = bell_certificate(m, block)
+        assert t_dev <= tol and cov_dev <= tol and trace_dev <= 1e-12
+
+
 def test_grouped_rows_are_refused_where_every_outcome_is_needed(tmp_path):
     # rows that stand for groups of outcomes give the spectrum and the outcome
     # distribution, but neither the covariance nor a POVM document
     m = coset_povm(clifford_representatives(2))
     assert m.outcomes_per_row == 4
     with pytest.raises(ValueError, match="the covariance needs every outcome"):
-        weyl_covariance(m, 4, double=True)
+        weyl_covariance(m, 4)
     with pytest.raises(ValueError, match="lists every outcome"):
         dump_povm(m, str(tmp_path / "m.json"))
     assert not (tmp_path / "m.json").exists()
@@ -238,13 +258,13 @@ def _incomplete_povm():
 
 @pytest.mark.parametrize("case", ("sic3", "mub5", "clifford2", "incomplete"))
 def test_realized_test_matches_einsum_reference(case):
-    m, double, complete = {
-        "sic3": lambda: (weyl_orbit(known_fiducial(3)), False, True),
-        "mub5": lambda: (mub_povm(mub_prime(5)), False, True),
-        "clifford2": lambda: (clifford_povm(enumerate_clifford(2)), True, True),
-        "incomplete": lambda: (_incomplete_povm(), False, False),
+    m, complete = {
+        "sic3": lambda: (weyl_orbit(known_fiducial(3)), True),
+        "mub5": lambda: (mub_povm(mub_prime(5)), True),
+        "clifford2": lambda: (clifford_povm(enumerate_clifford(2)), True),
+        "incomplete": lambda: (_incomplete_povm(), False),
     }[case]()
-    got = realized_test(m, double=double, require_complete=complete).matrix
+    got = realized_test(m, require_complete=complete).matrix
     assert np.max(np.abs(got - reference_realized_test(m))) <= 1e-13
     assert abs(m.completeness_defect() - reference_completeness_defect(m)) <= 1e-13
 
@@ -296,9 +316,9 @@ def test_weyl_overlaps_equal_the_traces_of_the_projectors(rng, d, dim):
 
 
 CHUNK_CASES = {
-    "mub7": lambda: (mub_povm(mub_prime(7)), 7, False),
-    "sic4": lambda: (weyl_orbit(search_fiducial(4, FiducialSearchConfig(seed=0))), 16, False),
-    "clifford3": lambda: (clifford_povm(enumerate_clifford(3)), 9, True),
+    "mub7": lambda: (mub_povm(mub_prime(7)), 7),
+    "sic4": lambda: (weyl_orbit(search_fiducial(4, FiducialSearchConfig(seed=0))), 16),
+    "clifford3": lambda: (clifford_povm(enumerate_clifford(3)), 9),
 }
 
 
@@ -307,12 +327,11 @@ def test_results_do_not_depend_on_the_chunk_size(monkeypatch, case):
     # 200 entries: the SIC orbit (16 x 16 Gram) is larger than one chunk, the
     # overlap chunks cut across the MUB bases and the Clifford cosets, and the
     # covariance walks several groups of blocks
-    m, block, double = CHUNK_CASES[case]()
-    d = 3 if double else m.dim
-    state = (double_isotropic_state if double else isotropic_state)(d, 0.8)
+    m, block = CHUNK_CASES[case]()
+    state = (double_isotropic_state if m.pairs == 2 else isotropic_state)(m.local_dim, 0.8)
 
     def run():
-        return (bell_spectrum(m, double), np.array(weyl_covariance(m, block, double)),
+        return (bell_spectrum(m), np.array(weyl_covariance(m, block)),
                 *outcome_distribution(m, state))
 
     default = run()
@@ -322,19 +341,19 @@ def test_results_do_not_depend_on_the_chunk_size(monkeypatch, case):
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
-def _dense_bell(m, double=False):
+def _dense_bell(m):
     """Bell-basis matrix of realized_test(m) and its distance to the invariant test.
 
     The Bell vector of label k is vec(W_k)/sqrt(d) on one pair; that of the
     label pair (k, l) is vec(W_k x W_l)/d on two pairs, in order A1,A2,B1,B2.
     """
-    d = isqrt(m.dim) if double else m.dim
+    d = m.local_dim
     w = all_weyl(d)
-    if double:
+    if m.pairs == 2:
         w = np.einsum("kab,lce->klacbe", w, w).reshape(m.dim ** 2, m.dim, m.dim)
     bell = np.stack([x.reshape(-1) for x in w], axis=1) / np.sqrt(m.dim)
-    t = realized_test(m, double=double, require_complete=False).matrix
-    target = (invariant_test_double if double else invariant_test_single)(d).matrix
+    t = realized_test(m, require_complete=False).matrix
+    target = (invariant_test_double if m.pairs == 2 else invariant_test_single)(d).matrix
     return bell.conj().T @ t @ bell, frobenius_distance(t, target)
 
 
@@ -385,12 +404,12 @@ def test_bell_certificate_bounds_dense_distance_when_not_covariant(rng, scale):
 @pytest.mark.parametrize("d", (2, 3))
 def test_two_pair_bell_certificate_matches_dense_reference(d):
     m = clifford_povm(enumerate_clifford(d))
-    t_bell, dist = _dense_bell(m, double=True)
-    spectrum = bell_spectrum(m, double=True)
+    t_bell, dist = _dense_bell(m)
+    spectrum = bell_spectrum(m)
     assert spectrum.shape == (d * d, d * d)
     assert np.max(np.abs(spectrum.ravel() - np.diag(t_bell).real)) <= 1e-14
     for block in (m.n_elements, d * d):   # the whole orbit, and one Weyl coset per block
-        t_dev, cov_dev, trace_dev = bell_certificate(m, block, double=True)
+        t_dev, cov_dev, trace_dev = bell_certificate(m, block)
         assert abs(t_dev - dist) <= 1e-12
         assert cov_dev <= 1e-14
         assert trace_dev <= 1e-12
@@ -414,10 +433,10 @@ def test_two_pair_bell_certificate_bounds_dense_distance(rng, side, d, scale):
         a = np.kron(g, np.eye(d)) if side == "A1" else np.kron(np.eye(d), g)
         v, w = m.vectors @ a.T, m.weights
     v /= np.linalg.norm(v, axis=1, keepdims=True)
-    perturbed = RankOnePovm(d * d, w, v, check_completeness=False)
-    _, dist = _dense_bell(perturbed, double=True)
+    perturbed = RankOnePovm(d * d, w, v, pairs=2, check_completeness=False)
+    _, dist = _dense_bell(perturbed)
     for block in (perturbed.n_elements, d * d):
-        t_dev, cov_dev, _ = bell_certificate(perturbed, block, double=True)
+        t_dev, cov_dev, _ = bell_certificate(perturbed, block)
         assert cov_dev > scale / 10
         assert dist <= t_dev <= 100 * dist
 
