@@ -42,10 +42,13 @@ _ENTRY_BITS = np.dtype((np.void, 16))
 
 def pairs_to_vector(pairs) -> np.ndarray:
     """Complex vector of a list of [re, im] pairs, bit for bit (signed zeros included)."""
-    raw = np.ascontiguousarray(pairs, dtype=float)
+    raw = np.asarray(pairs, dtype=float)
     if raw.ndim != 2 or raw.shape[1] != 2:
         raise ValueError("expected a list of [re, im] pairs")
-    return raw.view(complex).ravel()   # the bits as they are; re + 1j * im would turn -0.0 into 0.0
+    # re + 1j * im would turn a real part of -0.0 into +0.0
+    v = np.empty(len(raw), dtype=complex)
+    v.real, v.imag = raw[:, 0], raw[:, 1]
+    return v
 
 
 def _field(data: dict, key: str, where: str):

@@ -91,7 +91,8 @@ class RankOnePovm:
             raise ValueError("POVM vectors must be unit norm")
         if not isinstance(self.outcomes_per_row, numbers.Integral) or self.outcomes_per_row < 1:
             raise ValueError(f"outcomes_per_row must be a positive integer, got {self.outcomes_per_row!r}")
-        if self.pairs not in (1, 2) or self.local_dim ** self.pairs != self.dim:
+        if (not isinstance(self.pairs, numbers.Integral) or self.pairs not in (1, 2)
+                or self.local_dim ** self.pairs != self.dim):
             raise ValueError(f"pairs must be 1, or 2 with a square dim; got pairs={self.pairs!r} at dim {self.dim}")
         if check_completeness and self.outcomes_per_row == 1:
             defect = self.completeness_defect()

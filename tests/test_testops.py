@@ -155,9 +155,10 @@ def test_povm_constructor_rejects_a_bad_outcome_count(k):
         RankOnePovm(2, np.array([1.0, 1.0]), np.eye(2, dtype=complex), outcomes_per_row=k)
 
 
-@pytest.mark.parametrize("dim,pairs", [(2, 2), (8, 2), (4, 3), (4, 0)])
+@pytest.mark.parametrize("dim,pairs", [(2, 2), (8, 2), (4, 3), (4, 0), (4, 2.0)])
 def test_povm_constructor_rejects_a_bad_pair_count(dim, pairs):
-    # two pairs need a square dim, and no POVM here acts on three pairs or none
+    # two pairs need a square dim, no POVM here acts on three pairs or none,
+    # and a count is an integer
     with pytest.raises(ValueError, match="pairs must be 1, or 2 with a square dim") as info:
         RankOnePovm(dim, np.ones(dim), np.eye(dim, dtype=complex), pairs=pairs)
     assert "\n" not in str(info.value)
