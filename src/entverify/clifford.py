@@ -5,12 +5,10 @@ coset representative per element of its symplectic quotient SL(2, Z_d).
 clifford_representatives finds the representatives by a breadth-first
 search over the quotient, keyed by the exact integer Weyl labels of
 U X U^dag and U Z U^dag that the Weyl normalizer test reads, and
-enumerate_clifford returns the products {C_j W_k} coset by coset. At every
-supported d the two-pair identity of the orbit POVM is certified from the
-Bell spectrum of its realized test, as the SIC and MUB identities are: the
-covariance runs coset by coset over every element, the spectrum over the
-representatives alone, since every element of a coset has the same Weyl
-overlaps up to phases (coset_povm).
+enumerate_clifford returns the products {C_j W_k} coset by coset. The Weyl
+group is normal in the Clifford group, so a representative fixes its
+coset: coset_povm has one row per coset, from which testops.bell_certificate,
+the certificate of the SIC and MUB identities, certifies the orbit POVM.
 """
 
 from __future__ import annotations
@@ -19,8 +17,7 @@ import numpy as np
 
 from .linalg import is_prime
 from .report import Check, VerificationReport
-from .testops import (RankOnePovm, bell_spectrum, block_covariance, chunks,
-                      completeness_defect, fourier_matrix, spectrum_certificate,
+from .testops import (RankOnePovm, bell_certificate, chunks, fourier_matrix,
                       weyl_traces)
 
 UNITARY_TOL = 1e-10
@@ -180,15 +177,11 @@ def clifford_representatives(d: int) -> np.ndarray:
     return reps
 
 
-def weyl_operators(d: int) -> np.ndarray:
-    """The d^2 Weyl operators W_k = X^a Z^b, stacked [d^2, d, d] in label order k = a*d + b."""
-    return np.stack([weyl(d, a, b) for a in range(d) for b in range(d)])
-
-
 def weyl_cosets(reps: np.ndarray) -> np.ndarray:
     """The cosets {C_j W_k} of the representatives [n, d, d], stacked [n d^2, d, d]: element j * d^2 + k is C_j W_k."""
     d = reps.shape[-1]
-    return (reps[:, None] @ weyl_operators(d)[None]).reshape(-1, d, d)
+    weyls = np.stack([weyl(d, a, b) for a in range(d) for b in range(d)])
+    return (reps[:, None] @ weyls[None]).reshape(-1, d, d)
 
 
 def enumerate_clifford(d: int) -> np.ndarray:
@@ -217,29 +210,14 @@ def coset_povm(reps: np.ndarray) -> RankOnePovm:
     """The orbit POVM of the cosets {C_j W_k} as one row per representative, each standing for its coset.
 
     Row j is vec(C_j)/sqrt(d) with weight d^2 (d^2/|G|) = d^2/n, the weight
-    of its d^2 elements together, outcomes_per_row is d^2 and pairs is 2. It is the
-    orbit for every quantity that reads only |<u|W_a x W_b|u>|, which is the
-    same on a whole coset: W_m^dag W_b W_m is a phase times W_b, so
-    vec(C W_m) = (I x W_m^T) vec(C) has the overlaps of vec(C) up to phases.
-    The Bell spectrum (testops.bell_spectrum) and Bob's acceptance on
-    Bell-diagonal states (protocol.outcome_distribution) are read from it.
+    of its d^2 elements vec(C_j W_k)/sqrt(d) together (outcomes_per_row d^2,
+    pairs 2). Completeness is not checked here: verify_clifford_identity
+    reports its defect as a check.
     """
     n, d = len(reps), reps.shape[-1]
     weights = np.full(n, d * d / n)
-    return RankOnePovm(d * d, weights, reps.reshape(n, d * d) / np.sqrt(d), outcomes_per_row=d * d, pairs=2)
-
-
-def _coset_parts(reps: np.ndarray, weight: float):
-    """Yield (vectors, weights) of the orbit elements vec(C_j W_k)/sqrt(d), whole cosets at a time.
-
-    One group of representatives per chunk of about BELL_CHUNK entries of
-    the covariance's d^2 x d^2 Grams, so the orbit is never formed whole.
-    """
-    d = reps.shape[-1]
-    weyls = weyl_operators(d)
-    for rows in chunks(len(reps), d ** 4):
-        vecs = (reps[rows][:, None] @ weyls[None]).reshape(-1, d * d) / np.sqrt(d)
-        yield vecs, np.full(len(vecs), weight)
+    return RankOnePovm(d * d, weights, reps.reshape(n, d * d) / np.sqrt(d), outcomes_per_row=d * d, pairs=2,
+                       check_completeness=False)
 
 
 def _coset_order_dev(orbit: np.ndarray, reps: np.ndarray) -> float:
@@ -263,31 +241,15 @@ def verify_clifford_identity(d: int, reps: np.ndarray | None = None) -> Verifica
     """Certify the Clifford group and the two-pair identity of its orbit POVM.
 
     `reps` are the coset representatives C_j from clifford_representatives
-    (found when None), and the orbit {C_j W_k} is never formed whole. The
-    report checks the cardinality len(reps) d^2 against the pair-count
-    formula, the completeness of the orbit POVM and the character moments
-    (1, 2), whose |Tr(C W_k)| over every k are the Weyl traces of C
-    (testops.weyl_traces). A whole orbit (clifford_cardinality(d) elements)
-    is certified from its every d^2-th element, and the extra check
-    coset_order_dev compares each of its elements with C_j W_k, its place in
-    enumerate_clifford's order, so an altered or reordered orbit fails.
-
-    It also certifies that the orbit POVM realizes the two-pair invariant
-    test. The group contains the Weyl operators, so each coset is mapped onto
-    itself by U -> W_k U W_l, and the realized test is diagonal on the
-    two-pair Bell basis. The covariance (weyl_covariance_dev, with the bound
-    on the off-diagonal part) and the completeness run on every element,
-    coset by coset: testops.block_covariance accumulates one set of
-    per-generator sums over cosets formed from one chunk of representatives
-    at a time. The spectrum needs the representatives only. W_m^dag W_k W_m
-    is a phase times W_k, so |<vec(C W_m)| W_a x W_b |vec(C W_m)>| does not
-    depend on m: each coset adds d^2 equal terms to the spectrum, which is
-    the spectrum of coset_povm(reps), each representative weighted by d^2.
-    t_identity_dev combines it with the bound (testops.spectrum_certificate),
-    and trace_dev is read from the spectrum sum. Nothing of dimension d^4 is
-    formed. At d = 5 the certificate of the 3000-element orbit, the search
-    for its 120 representatives included, takes about 0.03 s in process
-    (2-CPU VM); over the whole orbit it took 0.05 s.
+    (found when None), and the orbit {C_j W_k} is never formed. The report
+    checks the cardinality len(reps) d^2 against the pair-count formula, the
+    character moments (1, 2), whose |Tr(C W_k)| over every k are the Weyl
+    traces of C (testops.weyl_traces), and bell_certificate(coset_povm(reps),
+    d^2) with the completeness defect (1/n) sum_j C_j C_j^dag - I of its rows.
+    A whole orbit (clifford_cardinality(d) elements) is certified from its
+    every d^2-th element, and the extra check coset_order_dev compares each
+    of its elements with C_j W_k, its place in enumerate_clifford's order,
+    so an altered or reordered orbit fails. At d = 5 it takes about 3 ms.
     """
     checks = []
     if reps is None:
@@ -296,14 +258,12 @@ def verify_clifford_identity(d: int, reps: np.ndarray | None = None) -> Verifica
         orbit, reps = reps, reps[::d * d]
         checks.append(Check.from_deviation("coset_order_dev", _coset_order_dev(orbit, reps), UNITARY_TOL))
     n = len(reps) * d * d
-    weight = d * d / n
+    m = coset_povm(reps)
     c1, c2 = _moments(weyl_traces(reps, fourier_matrix(d)))
-    covariance = block_covariance(_coset_parts(reps, weight), d * d, d)
-    completeness = completeness_defect(_coset_parts(reps, weight), d * d)
-    t_dev, cov_dev, trace_dev = spectrum_certificate(bell_spectrum(coset_povm(reps)), covariance)
+    t_dev, cov_dev, trace_dev = bell_certificate(m, d * d)
     checks += [
         Check.from_deviation("cardinality_dev", abs(n - clifford_cardinality(d)), 0),
-        Check.from_deviation("completeness_defect", completeness, 1e-10),
+        Check.from_deviation("completeness_defect", m.completeness_defect(), 1e-10),
         Check.from_deviation("char_moment1_dev", abs(c1 - 1), 1e-8),
         Check.from_deviation("char_moment2_dev", abs(c2 - 2), 1e-8),
         Check.from_deviation("t_identity_dev", t_dev, 1e-10),

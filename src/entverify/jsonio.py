@@ -25,8 +25,10 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -40,11 +42,18 @@ ELEMENT_SEP = ",\n    "
 _ENTRY_BITS = np.dtype((np.void, 16))
 
 
-def pairs_to_vector(pairs) -> np.ndarray:
-    """Complex vector of a list of [re, im] pairs, bit for bit (signed zeros included)."""
-    raw = np.asarray(pairs, dtype=float)
-    if raw.ndim != 2 or raw.shape[1] != 2:
-        raise ValueError("expected a list of [re, im] pairs")
+def pairs_to_vector(pairs, where: str = "pairs") -> np.ndarray:
+    """Complex vector of [re, im] number pairs, bit for bit (signed zeros included); a ValueError naming where
+    for anything else, such as a str, bool or null entry, which np.asarray would convert."""
+    try:
+        # the distinct entry types, gathered without a Python call per entry
+        kinds = set(map(type, chain.from_iterable(pairs))) if isinstance(pairs, list) else {None}
+        numbers = all(issubclass(t, (int, float)) and not issubclass(t, bool) for t in kinds)
+        raw = np.asarray(pairs, dtype=float) if numbers else None
+    except (TypeError, ValueError, OverflowError):   # a pair that is no list, pairs of unequal length
+        raw = None
+    if raw is None or raw.ndim != 2 or raw.shape[1] != 2:
+        raise ValueError(f"{where}: expected a list of [re, im] number pairs")
     # re + 1j * im would turn a real part of -0.0 into +0.0
     v = np.empty(len(raw), dtype=complex)
     v.real, v.imag = raw[:, 0], raw[:, 1]
@@ -63,8 +72,9 @@ def _field(data: dict, key: str, where: str):
 def povm_from_dict(data: dict) -> RankOnePovm:
     """The POVM of a document that dump_povm wrote; a one-line ValueError names a bad key or element.
 
-    A document does not record the pair count, so the POVM has pairs = 1:
-    a Clifford orbit reads back as a one-pair POVM on C^(d^2).
+    Weights and vector entries are finite JSON numbers. A document does not
+    record the pair count, so the POVM has pairs = 1: a Clifford orbit reads
+    back as a one-pair POVM on C^(d^2).
     """
     if not isinstance(data, dict) or data.get("kind") != "povm":
         raise ValueError("not a POVM document")
@@ -74,9 +84,20 @@ def povm_from_dict(data: dict) -> RankOnePovm:
     elements = _field(data, "elements", "POVM document")
     if not isinstance(elements, list) or not elements:
         raise ValueError("POVM document 'elements' is not a non-empty list")
-    weights = [_field(el, "weight", f"element {i}") for i, el in enumerate(elements)]
-    vectors = [pairs_to_vector(_field(el, "vector", f"element {i}")) for i, el in enumerate(elements)]
-    return RankOnePovm(dim, np.asarray(weights), np.stack(vectors))
+    weights, vectors = [], []
+    for i, el in enumerate(elements):
+        weight = _field(el, "weight", f"element {i}")
+        if type(weight) not in (int, float) or not math.isfinite(weight):   # a bool is no JSON number
+            raise ValueError(f"element {i} 'weight' is not a finite number: {weight!r}")
+        v = pairs_to_vector(_field(el, "vector", f"element {i}"), f"element {i} 'vector'")
+        if len(v) != dim:
+            raise ValueError(f"element {i} 'vector' has length {len(v)}, not dim = {dim}")
+        weights.append(weight)
+        vectors.append(v)
+    vectors = np.stack(vectors)
+    for i in np.flatnonzero(~np.isfinite(vectors).all(axis=1))[:1]:
+        raise ValueError(f"element {i} 'vector' has a NaN or Inf entry")
+    return RankOnePovm(dim, np.asarray(weights), vectors)
 
 
 def _entry_texts(block: np.ndarray) -> list[list[str]]:

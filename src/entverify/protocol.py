@@ -125,10 +125,10 @@ def outcome_distribution(m: RankOnePovm, s: BellDiagonalState) -> tuple[np.ndarr
     by row (an einsum, whose rows do not depend on the chunk size as those
     of a BLAS matrix-vector product do).
 
-    Each row of m stands for m.outcomes_per_row consecutive outcomes that
-    share its acceptance and split its probability evenly: a Clifford coset
-    representative C for its coset {C W_k} (clifford.coset_povm), on which
-    every |<u|V_k|u>| is the same. Each row's values are computed once and
+    A row of d^2 outcomes (testops.RankOnePovm) stands for its Weyl orbit,
+    which shares its |<u|V|u>|, so its outcomes share its acceptance and
+    split its probability evenly: a Clifford representative C for its coset
+    {C W_k} (clifford.coset_povm). Each row's values are computed once and
     repeated, so both arrays list every outcome, coset by coset.
     Outcomes with probability below 1e-15 are assigned conditional rejection,
     which keeps the zero-probability branch free of 0/0. The POVM must act

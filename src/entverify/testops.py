@@ -18,11 +18,9 @@ projectors |u><u|, read from the vectors, for the overlaps <u|V|u> of the
 certificates, the simulator and the fiducial search. The loops over a
 POVM's elements walk it in chunks of about BELL_CHUNK complex entries
 (64 KB) and at least MIN_CHUNK_ROWS rows, so their working set stays small
-next to the POVM itself. The
-covariance and completeness sums also take their elements as a stream of
-parts (block_covariance, completeness_defect), which lets the Clifford
-certificate form its orbit coset by coset from the representatives and
-never hold it whole.
+next to the POVM itself. A row may stand for the d^2 outcomes of its Weyl
+orbit (RankOnePovm.outcomes_per_row), as a Clifford coset representative for
+its coset, and every quantity here is read from such rows.
 
 Weyl labels, used throughout the package: k = a*d + b names W_k = X^a Z^b,
 with the shift X|j> = |j+1> and the clock Z|j> = w^j |j>, w = exp(2 pi i / d).
@@ -57,15 +55,13 @@ class CompletenessError(ValueError):
 class RankOnePovm:
     """Finite rank-one POVM {p_i |u_i><u_i|} with unit vectors u_i as rows.
 
-    With outcomes_per_row k > 1, each row stands for k outcomes that share
-    its Weyl overlaps |<u|V|u>| and split its weight evenly, as a Clifford
-    coset representative stands for its coset (clifford.coset_povm). The
-    rows then give the Bell spectrum and the outcome distribution of all
-    k n outcomes, but they do not sum to the identity, so completeness is
-    checked only at k = 1, and the covariance needs every outcome.
-
     pairs (1 or 2) counts the subsystem pairs of the realized test, set where
     the POVM is built; at 2, dim is the square of local_dim = d (C^d x C^d).
+
+    outcomes_per_row is 1, or d^2 at two pairs: a row u of d^2 outcomes
+    stands for the vectors (I x W_m^T) u over every label m, which split its
+    weight evenly and share its |<u|W_a x W_b|u>|; for u = vec(C)/sqrt(d),
+    the coset vec(C W_m)/sqrt(d) (clifford.coset_povm).
     """
 
     dim: int
@@ -89,12 +85,13 @@ class RankOnePovm:
         norms = np.sqrt(squared_norms(self.vectors))
         if np.max(np.abs(norms - 1)) > NORM_TOL:
             raise ValueError("POVM vectors must be unit norm")
-        if not isinstance(self.outcomes_per_row, numbers.Integral) or self.outcomes_per_row < 1:
-            raise ValueError(f"outcomes_per_row must be a positive integer, got {self.outcomes_per_row!r}")
         if (not isinstance(self.pairs, numbers.Integral) or self.pairs not in (1, 2)
                 or self.local_dim ** self.pairs != self.dim):
             raise ValueError(f"pairs must be 1, or 2 with a square dim; got pairs={self.pairs!r} at dim {self.dim}")
-        if check_completeness and self.outcomes_per_row == 1:
+        k = self.outcomes_per_row
+        if not isinstance(k, numbers.Integral) or k not in (1, self.dim if self.pairs == 2 else 1):
+            raise ValueError(f"outcomes_per_row must be a positive integer, 1 or d^2 at two pairs; got {k!r}")
+        if check_completeness:
             defect = self.completeness_defect()
             if defect > COMPLETENESS_TOL:
                 raise CompletenessError(defect)
@@ -108,17 +105,20 @@ class RankOnePovm:
         return self.dim if self.pairs == 1 else isqrt(self.dim)
 
     def completeness_defect(self) -> float:
-        """Max-entry deviation of sum_i p_i |u_i><u_i| from the identity, summed over chunks of rows."""
-        return completeness_defect(((self.vectors[rows], self.weights[rows])
-                                    for rows in chunks(self.n_elements, self.dim)), self.dim)
+        """Max-entry deviation of sum_i p_i |u_i><u_i| over every outcome from the identity, by chunks of rows.
 
-
-def completeness_defect(parts, dim: int) -> float:
-    """Max-entry deviation from the identity of sum_i p_i |u_i><u_i| over (vectors, weights) parts."""
-    s = np.zeros((dim, dim), dtype=complex)
-    for u, p in parts:
-        s += (u.T * p) @ u.conj()
-    return float(np.max(np.abs(s - np.eye(dim))))
+        Rows of d^2 outcomes: sum_m (I x W_m) X (I x W_m)^dag = d Tr_2(X) x I, so the
+        defect is that of sum_rows (p/d) U U^dag on C^d, U = u as a d x d matrix.
+        """
+        size = self.local_dim if self.outcomes_per_row > 1 else self.dim
+        s = np.zeros((size, size), dtype=complex)
+        for rows in chunks(self.n_elements, self.dim):
+            u, p = self.vectors[rows], self.weights[rows]
+            if self.outcomes_per_row > 1:
+                u = u.reshape(-1, size, size).transpose(0, 2, 1).reshape(-1, size)   # the columns of each U
+                p = np.repeat(p / size, size)
+            s += (u.T * p) @ u.conj()
+        return float(np.max(np.abs(s - np.eye(size))))
 
 
 def squared_norms(u: np.ndarray) -> np.ndarray:
@@ -295,8 +295,9 @@ def weyl_covariance(m: RankOnePovm, block: int) -> tuple[float, float]:
     For each generator g and each element i, sigma(i) is the element of i's
     block with the largest |<u_sigma(i)|g u_i>|, from one block x block Gram
     per block. The blocks are walked in groups of about BELL_CHUNK complex
-    Gram entries (block_covariance), and the deviation and the sums delta_g
-    below are accumulated over the groups. The deviation is the largest of
+    Gram entries, and the deviation and the sums delta_g below are
+    accumulated over the groups, so the bound is the same however the
+    elements are split. The deviation is the largest of
       eps_i = min over phases c of ||g u_i - c u_sigma(i)||   (computed from
               the difference vector, never from 1 - |overlap|, which would
               resolve it only to the square root of the rounding error),
@@ -305,6 +306,14 @@ def weyl_covariance(m: RankOnePovm, block: int) -> tuple[float, float]:
     each block up to phases with equal weights and no two elements of a block
     are parallel; a repeated element makes sigma collide, and the block is
     reported as not covariant.
+
+    A row of d^2 outcomes vec(U W_k) (U = u as a d x d matrix) is its own
+    block, block = d^2. I x g maps U W_k to U W_k g^T, a phase times U W_k':
+    eps = 0. For g x I, with m and c that minimize eps_row = ||gU - c U W_m||_F
+    (m from the largest |Tr(W_m^dag U^dag g U)|, weyl_traces; eps_row from the
+    difference matrix), g U W_k = c' U W_(m+k) + (gU - c U W_m) W_k: k maps to
+    m + k, a bijection on equal weights, with error eps_row and no defects, and
+    the row's outcomes (weight p/d^2, norm |u|) add p eps_row 4|u|^3 to delta_g.
 
     The bound: write C_g(M) = g M g^dag, a unitary on operators, and
     T = sum_i p_i |P_i>><<P_i| with P_i = |u_i><u_i|. Then C_g T C_g^dag - T is
@@ -326,52 +335,65 @@ def weyl_covariance(m: RankOnePovm, block: int) -> tuple[float, float]:
     Frobenius norm at most sqrt(sum_g delta_g^2) / (2 sin(pi/d)), which is
     the second value returned.
     """
-    n = m.n_elements
-    if m.outcomes_per_row != 1:
-        raise ValueError("the covariance needs every outcome, not one row per group of outcomes")
-    if n == 0 or n % block:
+    n, d, k = m.n_elements, m.local_dim, m.outcomes_per_row
+    if k > 1 and block != k:
+        raise ValueError(f"a row of {k} outcomes is its own block, got block {block}")
+    if k == 1 and (n == 0 or n % block):
         raise ValueError(f"{n} elements do not split into blocks of {block}")
-    groups = chunks(n // block, block * max(block, m.dim))
-    return block_covariance(((m.vectors[g.start * block:g.stop * block],
-                              m.weights[g.start * block:g.stop * block]) for g in groups), block, m.local_dim)
-
-
-def block_covariance(parts, block: int, d: int) -> tuple[float, float]:
-    """weyl_covariance of the elements given as (vectors, weights) parts, each of whole blocks.
-
-    The factor count comes from the vector length, d^f for f factors of C^d.
-    The deviation and the per-generator sums delta_g accumulate over all
-    parts, and the bound is formed once from the sums, so it is the same
-    quantity however the elements are split.
-    """
-    clock = np.exp(2j * np.pi * np.arange(d) / d)
-    dev, deltas = 0.0, 0.0
-    for vectors, p in parts:
-        flat = vectors.reshape(-1, block, vectors.shape[1])
-        u = flat.reshape(flat.shape[:2] + (d,) * _factor_count(vectors.shape[1], d))   # one axis per factor
-        norm = np.sqrt(squared_norms(vectors))
-        offsets = np.repeat(np.arange(0, len(p), block), block)
-        sums = []
-        for axis in range(2, u.ndim):
-            # rows g u_i for the shift X|k> = |k+1> and the clock Z|k> = w^k |k> on this factor
-            on_axis = clock.reshape((d,) + (1,) * (u.ndim - 1 - axis))
-            for gu in (np.roll(u, 1, axis=axis), u * on_axis):
-                gu = gu.reshape(flat.shape)
-                over = flat.conj() @ gu.transpose(0, 2, 1)         # [blk, j, i] = <u_j|g u_i>
-                local = np.argmax(np.abs(over), axis=1)            # [blk, i]
-                best = np.take_along_axis(over, local[:, None, :], axis=1)[:, 0, :]
-                partner = np.take_along_axis(flat, local[:, :, None], axis=1)
-                phase = np.exp(1j * np.angle(best))[:, :, None]
-                eps = np.linalg.norm(gu - phase * partner, axis=2).ravel()
-                sigma = offsets + local.ravel()
-                mult_defect = np.abs(np.bincount(sigma, minlength=len(p)) - 1)
-                weight_defect = np.abs(p - p[sigma])
-                dev = max(dev, float(eps.max()), float(weight_defect.max()), float(mult_defect.max()))
-                ns = norm[sigma]
-                sums.append(np.sum(p * eps * (norm + ns) * (norm ** 2 + ns ** 2))
-                            + weight_defect @ ns ** 4 + mult_defect @ (p * norm ** 4))
-        deltas = deltas + np.array(sums)
+    parts = chunks(n, m.dim) if k > 1 else [slice(g.start * block, g.stop * block)
+                                            for g in chunks(n // block, block * max(block, m.dim))]
+    terms, dev, deltas = _orbit_row_terms if k > 1 else _block_terms, 0.0, 0.0
+    for rows in parts:
+        part_dev, sums = terms(m.vectors[rows], m.weights[rows], block, d)
+        dev, deltas = max(dev, part_dev), deltas + sums
     return dev, float(np.linalg.norm(deltas) / (2 * np.sin(np.pi / d)))
+
+
+def _block_terms(vectors: np.ndarray, p: np.ndarray, block: int, d: int) -> tuple[float, np.ndarray]:
+    """weyl_covariance's deviation and sums delta_g over whole blocks; d^f entries per vector for f factors."""
+    clock = np.exp(2j * np.pi * np.arange(d) / d)
+    flat = vectors.reshape(-1, block, vectors.shape[1])
+    u = flat.reshape(flat.shape[:2] + (d,) * _factor_count(vectors.shape[1], d))   # one axis per factor
+    norm = np.sqrt(squared_norms(vectors))
+    offsets = np.repeat(np.arange(0, len(p), block), block)
+    dev, sums = 0.0, []
+    for axis in range(2, u.ndim):
+        # rows g u_i for the shift X|k> = |k+1> and the clock Z|k> = w^k |k> on this factor
+        on_axis = clock.reshape((d,) + (1,) * (u.ndim - 1 - axis))
+        for gu in (np.roll(u, 1, axis=axis), u * on_axis):
+            gu = gu.reshape(flat.shape)
+            over = flat.conj() @ gu.transpose(0, 2, 1)         # [blk, j, i] = <u_j|g u_i>
+            local = np.argmax(np.abs(over), axis=1)            # [blk, i]
+            best = np.take_along_axis(over, local[:, None, :], axis=1)[:, 0, :]
+            partner = np.take_along_axis(flat, local[:, :, None], axis=1)
+            phase = np.exp(1j * np.angle(best))[:, :, None]
+            eps = np.linalg.norm(gu - phase * partner, axis=2).ravel()
+            sigma = offsets + local.ravel()
+            mult_defect = np.abs(np.bincount(sigma, minlength=len(p)) - 1)
+            weight_defect = np.abs(p - p[sigma])
+            dev = max(dev, float(eps.max()), float(weight_defect.max()), float(mult_defect.max()))
+            ns = norm[sigma]
+            sums.append(np.sum(p * eps * (norm + ns) * (norm ** 2 + ns ** 2))
+                        + weight_defect @ ns ** 4 + mult_defect @ (p * norm ** 4))
+    return dev, np.array(sums)
+
+
+def _orbit_row_terms(vectors: np.ndarray, p: np.ndarray, block: int, d: int) -> tuple[float, np.ndarray]:
+    """_block_terms of rows of d^2 outcomes: eps_row for X x I and Z x I, 0 for I x X and I x Z."""
+    dft, u = fourier_matrix(d), vectors.reshape(-1, d, d)
+    norm, dev, sums = np.sqrt(squared_norms(vectors)), 0.0, []
+    for gu in (np.roll(u, 1, axis=1), u * dft[1][:, None]):      # (X x I) u and (Z x I) u
+        traces = weyl_traces(u.conj().transpose(0, 2, 1) @ gu, dft).reshape(len(u), -1)
+        a, b = np.divmod(np.argmax(np.abs(traces), axis=1), d)  # Tr(U^dag g U W_k) peaks at k = -m
+        # U W_m = U X^a' Z^b' with m = (a', b') = (-a, -b): [r, j] = U[r, j + a'] w^(b' j)
+        cols = (np.arange(d) - a[:, None]) % d
+        uw = np.take_along_axis(u, cols[:, None, :], axis=2) * dft[-b % d][:, None, :]
+        overlap = np.einsum("irj,irj->i", uw.conj(), gu)          # Tr((U W_m)^dag g U)
+        phase = np.exp(1j * np.angle(overlap))[:, None, None]
+        eps = np.linalg.norm((gu - phase * uw).reshape(len(u), -1), axis=1)
+        dev = max(dev, float(eps.max()))
+        sums.append(np.sum(p * eps * 4 * norm ** 3))
+    return dev, np.array(sums + [0.0, 0.0])
 
 
 def bell_certificate(m: RankOnePovm, block: int) -> tuple[float, float, float]:
@@ -392,13 +414,7 @@ def bell_certificate(m: RankOnePovm, block: int) -> tuple[float, float, float]:
     |Tr T - D|, with Tr T the sum of the spectrum and D = m.dim the trace of
     the invariant test on one pair or two.
     """
-    return spectrum_certificate(bell_spectrum(m), weyl_covariance(m, block))
-
-
-def spectrum_certificate(spectrum: np.ndarray, covariance: tuple[float, float]) -> tuple[float, float, float]:
-    """bell_certificate's (t_identity_dev, weyl_covariance_dev, trace_dev) from a Bell spectrum
-    of shape (d^2,) or (d^2, d^2) (one axis per pair) and the (deviation, bound) of its POVM's covariance."""
-    cov_dev, off_bound = covariance
-    d, pairs = isqrt(spectrum.shape[0]), spectrum.ndim
-    diag = np.linalg.norm(spectrum - invariant_bell_spectrum(d, pairs))
-    return float(np.hypot(diag, off_bound)), cov_dev, abs(float(spectrum.sum()) - d ** pairs)
+    cov_dev, off_bound = weyl_covariance(m, block)
+    spectrum = bell_spectrum(m)
+    diag = np.linalg.norm(spectrum - invariant_bell_spectrum(m.local_dim, m.pairs))
+    return float(np.hypot(diag, off_bound)), cov_dev, abs(float(spectrum.sum()) - m.dim)

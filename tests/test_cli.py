@@ -15,7 +15,7 @@ from entverify.jsonio import (_entry_texts, dump_povm, pairs_to_vector,
                               povm_from_dict)
 from entverify.mub import mub_povm, mub_prime
 from entverify.sic import Fiducial, known_fiducial, weyl_orbit
-from entverify.testops import RankOnePovm
+from entverify.testops import RankOnePovm, bell_certificate
 
 
 @pytest.fixture(autouse=True)
@@ -171,11 +171,29 @@ def test_povm_from_dict_names_a_missing_key(drop, message):
     ("dim", 2.7, "POVM document 'dim' is not a positive integer: 2.7"),
     ("dim", "2", "POVM document 'dim' is not a positive integer: '2'"),
     ("dim", True, "POVM document 'dim' is not a positive integer: True"),
-], ids=["elements-int", "elements-empty", "element-int", "dim-text", "dim-float", "dim-digits", "dim-bool"])
+    # a weight or an entry is a JSON number, not a str, bool or null that numpy would convert
+    ("weight", "1.0", "element 2 'weight' is not a finite number: '1.0'"),
+    ("weight", True, "element 2 'weight' is not a finite number: True"),
+    ("weight", None, "element 2 'weight' is not a finite number: None"),
+    ("weight", float("inf"), "element 2 'weight' is not a finite number: inf"),
+    ("vector", [["1.0", "0"], [0.0, 0.0]], "element 2 'vector': expected a list of [re, im] number pairs"),
+    ("vector", [[1.0, False], [0.0, 0.0]], "element 2 'vector': expected a list of [re, im] number pairs"),
+    ("vector", [[1.0, None], [0.0, 0.0]], "element 2 'vector': expected a list of [re, im] number pairs"),
+    ("vector", {"a": 1}, "element 2 'vector': expected a list of [re, im] number pairs"),
+    ("vector", [[1.0, 0.0], 0.0], "element 2 'vector': expected a list of [re, im] number pairs"),
+    ("vector", [[1.0, 0.0], [0.0]], "element 2 'vector': expected a list of [re, im] number pairs"),
+    ("vector", [[1.0, 0.0]], "element 2 'vector' has length 1, not dim = 2"),
+    ("vector", [[1.0, 0.0], [float("nan"), 0.0]], "element 2 'vector' has a NaN or Inf entry"),
+], ids=["elements-int", "elements-empty", "element-int", "dim-text", "dim-float", "dim-digits", "dim-bool",
+        "weight-text", "weight-bool", "weight-null", "weight-inf", "vector-text", "vector-bool",
+        "vector-null", "vector-object", "vector-scalar-pair", "vector-short-pair", "vector-length",
+        "vector-nan"])
 def test_povm_from_dict_names_a_malformed_key(key, value, message):
     doc = povm_to_dict(signed_zero_povm())
     if key == "element":
         doc["elements"][2] = value
+    elif key in ("weight", "vector"):
+        doc["elements"][2][key] = value
     else:
         doc[key] = value
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -192,6 +210,23 @@ def test_gen_documents_parse_to_their_povm(scheme, d, capsys):
     want = SCHEMES[scheme].povm(SCHEMES[scheme].build(d, build_parser().parse_args(argv)))
     assert m.pairs == 1 and m.dim == want.dim
     assert np.array_equal(m.vectors, want.vectors) and np.array_equal(m.weights, want.weights)
+
+
+def test_a_parsed_clifford_document_certifies_as_verify_does(capsys):
+    # the 216 elements of a gen document, read back as a two-pair POVM, give
+    # the element-level certificate, with cosets of 9 as blocks; verify reads
+    # the same quantities from the 24 coset rows, equal to rounding
+    code, doc = run_json(capsys, ["gen", "clifford", "--d", "3"])
+    parsed = povm_from_dict(doc)
+    m = RankOnePovm(parsed.dim, parsed.weights, parsed.vectors, pairs=2)
+    t_dev, cov_dev, trace_dev = bell_certificate(m, 9)
+    code, report = run_json(capsys, ["verify", "clifford", "--d", "3", "--json"])
+    measured = {c["name"]: c["measured"] for c in report["checks"]}
+    assert code == 0 and report["overall"]
+    assert abs(cov_dev - measured["weyl_covariance_dev"]) <= 1e-14
+    assert abs(m.completeness_defect() - measured["completeness_defect"]) <= 1e-14
+    assert abs(t_dev - measured["t_identity_dev"]) <= 1e-12
+    assert abs(trace_dev - measured["trace_dev"]) <= 1e-12
 
 
 @pytest.mark.parametrize("scheme,d,n", [("sic", 2, 4), ("clifford", 3, 216)])

@@ -410,7 +410,8 @@ def test_verify_identity_checks_an_orbit_against_its_representatives():
 
 
 def test_verify_identity_d5_memory_guard():
-    # about 0.6 MB traced; the orbit's 3000 vectors alone take 1.2 MB, so the
+    # about 0.5 MB traced, most of it one chunk of the coset rows'
+    # covariance; the orbit's 3000 vectors alone take 1.2 MB, so the
     # certificate never holds them all (4.3 MB traced when it did)
     tracemalloc.start()
     try:
@@ -423,11 +424,9 @@ def test_verify_identity_d5_memory_guard():
 
 
 def test_planted_representative_fails_the_covariance(rng):
-    # a random unitary in place of a representative in the last chunk: its
-    # coset is still a complete set, but X and Z on A1 no longer map it onto
-    # itself, and the covariance, built from chunks of representatives, fails
+    # a random unitary in place of a representative: its coset is still a
+    # complete set, but X and Z on A1 no longer map it onto itself
     reps = clifford_representatives(5)
-    assert len(chunks(len(reps), 5 ** 4)) > 1
     reps[-1] = random_unitary(rng, 5)
     report = verify_clifford_identity(5, reps)
     assert not report.overall
@@ -435,24 +434,65 @@ def test_planted_representative_fails_the_covariance(rng):
     assert report.check("completeness_defect").passed
 
 
+def test_a_non_unitary_representative_fails_the_completeness():
+    # scaled by 1.001 a representative is no unit vector, which coset_povm
+    # refuses. Scaled by 1.001 on one row and shrunk on another so that it
+    # stays one, it fails completeness_defect, (1/n) sum_j C_j C_j^dag - I,
+    # by (1.001^2 - 1) / 24
+    reps = clifford_representatives(3)
+    scaled = reps.copy()
+    scaled[5] *= 1.001
+    with pytest.raises(ValueError, match="unit norm"):
+        coset_povm(scaled)
+    reps[5] = np.diag([1.001, np.sqrt(2 - 1.001 ** 2), 1]) @ reps[5]
+    report = verify_clifford_identity(3, reps)
+    defect = report.check("completeness_defect")
+    assert not defect.passed and abs(defect.measured - (1.001 ** 2 - 1) / 24) <= 1e-12
+
+
+@pytest.mark.parametrize("d", (2, 3, 5, 7))
+@pytest.mark.parametrize("planted", (False, True), ids=("group", "planted"))
+def test_coset_rows_certify_as_the_whole_orbit(monkeypatch, rng, d, planted):
+    # one row per coset gives the deviation, the bound, the certificate and
+    # the completeness of every element, for the group and with two
+    # representatives replaced by random unitaries (in different chunks of
+    # rows at d = 7). d = 7 lies beyond the CLI's reach, so SIZE_CAP is
+    # raised in this test only
+    monkeypatch.setattr(clifford, "SIZE_CAP", clifford_cardinality(7))
+    reps = clifford_representatives(d)
+    if planted:
+        reps[[1, -2]] = [random_unitary(rng, d), random_unitary(rng, d)]
+    rows, orbit = coset_povm(reps), clifford_povm(weyl_cosets(reps))
+    (dev, bound), (orbit_dev, orbit_bound) = weyl_covariance(rows, d * d), weyl_covariance(orbit, d * d)
+    t_dev, cov_dev, trace_dev = bell_certificate(rows, d * d)
+    orbit_t, _, orbit_trace = bell_certificate(orbit, d * d)
+    assert cov_dev == dev and abs(dev - orbit_dev) <= 1e-14
+    assert abs(trace_dev - orbit_trace) <= 1e-12
+    assert abs(rows.completeness_defect() - orbit.completeness_defect()) <= 1e-14
+    if planted:
+        assert dev > 0.1
+        assert abs(bound - orbit_bound) <= 1e-12 * orbit_bound and abs(t_dev - orbit_t) <= 1e-12 * orbit_t
+    else:
+        assert dev <= 1e-14 and abs(bound - orbit_bound) <= 1e-12 and abs(t_dev - orbit_t) <= 1e-12
+
+
 def test_covariance_bound_does_not_depend_on_the_chunks(monkeypatch, rng):
-    # the per-generator sums accumulate over all chunks of representatives:
-    # with two planted cosets in different chunks, six chunks of four cosets
+    # the per-generator sums accumulate over all groups of cosets: with two
+    # planted cosets in different groups, six groups of four cosets
     # (MIN_CHUNK_ROWS) give the bound of one pass over the whole orbit.
-    # Per-chunk bounds added up would exceed it
+    # Per-group bounds added up would exceed it
     reps = clifford_representatives(3)
     reps[[2, 20]] = [random_unitary(rng, 3), random_unitary(rng, 3)]
-    dev, bound = weyl_covariance(clifford_povm(weyl_cosets(reps)), 9)
-    reports = []
+    orbit = clifford_povm(weyl_cosets(reps))
+    results = []
     for chunk in (81, 2 ** 16):
         monkeypatch.setattr(testops, "BELL_CHUNK", chunk)
-        assert len(chunks(len(reps), 3 ** 4)) == (6 if chunk == 81 else 1)
-        reports.append(verify_clifford_identity(3, reps))
-    for report in reports:
-        assert abs(report.check("weyl_covariance_dev").measured - dev) <= 1e-14
-        assert bound <= report.check("t_identity_dev").measured
-    t_devs = [report.check("t_identity_dev").measured for report in reports]
-    assert bound > 0.1 and abs(t_devs[0] - t_devs[1]) <= 1e-12 * t_devs[1]
+        assert len(chunks(len(reps), 9 * 9)) == (6 if chunk == 81 else 1)
+        results.append(weyl_covariance(orbit, 9))
+    (dev, bound), (dev_one, bound_one) = results
+    assert dev == dev_one and bound > 0.1 and abs(bound - bound_one) <= 1e-12 * bound_one
+    t_dev = verify_clifford_identity(3, reps).check("t_identity_dev").measured
+    assert bound <= t_dev
 
 
 def dense_normalizes(us):

@@ -177,16 +177,40 @@ def test_pair_count_comes_from_the_povm():
         assert t_dev <= tol and cov_dev <= tol and trace_dev <= 1e-12
 
 
-def test_grouped_rows_are_refused_where_every_outcome_is_needed(tmp_path):
-    # rows that stand for groups of outcomes give the spectrum and the outcome
-    # distribution, but neither the covariance nor a POVM document
+def test_coset_rows_are_certified_but_not_written_out(tmp_path):
+    # a row of d^2 outcomes stands for its Weyl orbit: the covariance and the
+    # completeness read it from the row, but a POVM document lists every outcome
     m = coset_povm(clifford_representatives(2))
     assert m.outcomes_per_row == 4
-    with pytest.raises(ValueError, match="the covariance needs every outcome"):
-        weyl_covariance(m, 4)
+    dev, bound = weyl_covariance(m, 4)
+    assert dev <= 1e-15 and bound <= 1e-14 and m.completeness_defect() <= 1e-15
+    with pytest.raises(ValueError, match="^a row of 4 outcomes is its own block, got block 24$"):
+        weyl_covariance(m, 24)
     with pytest.raises(ValueError, match="lists every outcome"):
         dump_povm(m, str(tmp_path / "m.json"))
     assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("dim,pairs,k", [(4, 1, 4), (4, 2, 2), (4, 2, 16), (9, 2, 3), (9, 2, 4)])
+def test_povm_constructor_allows_only_the_weyl_orbit_as_a_row(dim, pairs, k):
+    # k > 1 outcomes per row means the d^2 outcomes of a Weyl orbit on the
+    # second factor, so it needs two pairs and k = d^2
+    with pytest.raises(ValueError, match="outcomes_per_row must be a positive integer") as info:
+        RankOnePovm(dim, np.ones(dim), np.eye(dim, dtype=complex), outcomes_per_row=k, pairs=pairs,
+                    check_completeness=False)
+    assert "\n" not in str(info.value)
+
+
+def test_coset_rows_check_their_completeness_on_construction():
+    # the rows of unitary representatives sum, over their orbits, to the
+    # identity; a row that is a unit vector but no unitary does not
+    reps = clifford_representatives(2)
+    rows = reps.reshape(-1, 4) / np.sqrt(2)
+    weights = np.full(len(rows), 4 / len(rows))
+    assert RankOnePovm(4, weights, rows, outcomes_per_row=4, pairs=2).completeness_defect() <= 1e-15
+    rows[0] = [np.sqrt(0.75), 0, 0, 0.5j]   # U = diag(sqrt(3), i) / 2: U U^dag = diag(3, 1) / 4
+    with pytest.raises(CompletenessError):
+        RankOnePovm(4, weights, rows, outcomes_per_row=4, pairs=2)
 
 
 def test_permute_identity(rng):

@@ -11,8 +11,9 @@ text (so -0.0 and 0.0 differ) after dropping `metadata.created`, the one
 field that names the time of the run; other output is compared byte for
 byte. One line per command is printed: `same`
 (with `bytes` when the raw output is identical too) or `DIFF` and what
-differs. The exit code is 1 if any command differs, 2 on a usage error and
-0 otherwise.
+differs; for two JSON outputs that differ, the line ends with up to three
+of the differing leaves, as paths such as `checks[1].measured`. The exit
+code is 1 if any command differs, 2 on a usage error and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from itertools import islice
 from pathlib import Path
 
 OUT = "out.json"            # `--out` target, relative to the command's working directory
@@ -78,6 +80,37 @@ def comparable(output: bytes) -> bytes | str:
     return json.dumps(value)
 
 
+def differing_leaves(a, b, path: str = ""):
+    """Yield, in document order, the paths of the leaves where two JSON values differ.
+
+    A key or index that only one side has counts as one leaf, and leaves are
+    compared as their JSON text, so -0.0 and 0.0 differ.
+    """
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in [*a, *(k for k in b if k not in a)]:
+            sub = f"{path}.{key}" if path else key
+            if key in a and key in b:
+                yield from differing_leaves(a[key], b[key], sub)
+            else:
+                yield sub
+    elif isinstance(a, list) and isinstance(b, list):
+        for i in range(max(len(a), len(b))):
+            if i < len(a) and i < len(b):
+                yield from differing_leaves(a[i], b[i], f"{path}[{i}]")
+            else:
+                yield f"{path}[{i}]"
+    elif json.dumps(a) != json.dumps(b):
+        yield path or "(root)"
+
+
+def leaf_note(a: bytes | str, b: bytes | str) -> str:
+    """Up to three differing leaves of two comparable outputs, if both are JSON; else ''."""
+    if not (isinstance(a, str) and isinstance(b, str)):
+        return ""
+    leaves = list(islice(differing_leaves(json.loads(a), json.loads(b)), 4))
+    return ": " + ", ".join(leaves[:3]) + (", ..." if len(leaves) > 3 else "")
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2 or not all(Path(p, "src", "entverify").is_dir() for p in argv):
         print("usage: python tools/identity_panel.py PARENT_DIR CHANGE_DIR\n"
@@ -87,14 +120,16 @@ def main(argv: list[str]) -> int:
     differ = 0
     for cmd in PANEL:
         (code_a, err_a, out_a), (code_b, err_b, out_b) = run(parent, cmd), run(change, cmd)
+        text_a, text_b = comparable(out_a), comparable(out_b)
         diffs = [name for name, same in (("exit", code_a == code_b), ("stderr", err_a == err_b),
-                                         ("output", comparable(out_a) == comparable(out_b))) if not same]
+                                         ("output", text_a == text_b)) if not same]
         differ += bool(diffs)
+        note = leaf_note(text_a, text_b) if "output" in diffs else ""
         if diffs:
             status = f"DIFF {','.join(diffs)} (exit {code_a} vs {code_b})"
         else:
             status = f"same{' bytes' if out_a == out_b else ''} exit {code_a}"
-        print(f"{status:<32} {cmd}", flush=True)
+        print(f"{status:<32} {cmd}{note}", flush=True)
     print(f"{len(PANEL) - differ} of {len(PANEL)} commands identical")
     return 1 if differ else 0
 
