@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import contextlib
 import json
-import math
 import os
 import sys
 from itertools import chain
@@ -43,8 +42,10 @@ _ENTRY_BITS = np.dtype((np.void, 16))
 
 
 def pairs_to_vector(pairs, where: str = "pairs") -> np.ndarray:
-    """Complex vector of [re, im] number pairs, bit for bit (signed zeros included); a ValueError naming where
-    for anything else, such as a str, bool or null entry, which np.asarray would convert."""
+    """Complex vector of [re, im] number pairs, bit for bit (signed zeros included).
+
+    A ValueError naming `where` for anything else, such as a str, bool or null entry that np.asarray would take.
+    """
     try:
         # the distinct entry types, gathered without a Python call per entry
         kinds = set(map(type, chain.from_iterable(pairs))) if isinstance(pairs, list) else {None}
@@ -87,7 +88,8 @@ def povm_from_dict(data: dict) -> RankOnePovm:
     weights, vectors = [], []
     for i, el in enumerate(elements):
         weight = _field(el, "weight", f"element {i}")
-        if type(weight) not in (int, float) or not math.isfinite(weight):   # a bool is no JSON number
+        # a bool is no JSON number; an int too large for a float compares without overflow
+        if type(weight) not in (int, float) or not abs(weight) <= sys.float_info.max:
             raise ValueError(f"element {i} 'weight' is not a finite number: {weight!r}")
         v = pairs_to_vector(_field(el, "vector", f"element {i}"), f"element {i} 'vector'")
         if len(v) != dim:

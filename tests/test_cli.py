@@ -176,6 +176,7 @@ def test_povm_from_dict_names_a_missing_key(drop, message):
     ("weight", True, "element 2 'weight' is not a finite number: True"),
     ("weight", None, "element 2 'weight' is not a finite number: None"),
     ("weight", float("inf"), "element 2 'weight' is not a finite number: inf"),
+    ("weight", 10 ** 400, f"element 2 'weight' is not a finite number: {10 ** 400}"),
     ("vector", [["1.0", "0"], [0.0, 0.0]], "element 2 'vector': expected a list of [re, im] number pairs"),
     ("vector", [[1.0, False], [0.0, 0.0]], "element 2 'vector': expected a list of [re, im] number pairs"),
     ("vector", [[1.0, None], [0.0, 0.0]], "element 2 'vector': expected a list of [re, im] number pairs"),
@@ -184,10 +185,11 @@ def test_povm_from_dict_names_a_missing_key(drop, message):
     ("vector", [[1.0, 0.0], [0.0]], "element 2 'vector': expected a list of [re, im] number pairs"),
     ("vector", [[1.0, 0.0]], "element 2 'vector' has length 1, not dim = 2"),
     ("vector", [[1.0, 0.0], [float("nan"), 0.0]], "element 2 'vector' has a NaN or Inf entry"),
+    ("vector", [[1.0, 0.0], [10 ** 400, 0.0]], "element 2 'vector': expected a list of [re, im] number pairs"),
 ], ids=["elements-int", "elements-empty", "element-int", "dim-text", "dim-float", "dim-digits", "dim-bool",
-        "weight-text", "weight-bool", "weight-null", "weight-inf", "vector-text", "vector-bool",
+        "weight-text", "weight-bool", "weight-null", "weight-inf", "weight-huge", "vector-text", "vector-bool",
         "vector-null", "vector-object", "vector-scalar-pair", "vector-short-pair", "vector-length",
-        "vector-nan"])
+        "vector-nan", "vector-huge"])
 def test_povm_from_dict_names_a_malformed_key(key, value, message):
     doc = povm_to_dict(signed_zero_povm())
     if key == "element":
