@@ -9,6 +9,8 @@ enumerate_clifford returns the products {C_j W_k} coset by coset. The Weyl
 group is normal in the Clifford group, so a representative fixes its
 coset: coset_povm has one row per coset, from which testops.bell_certificate,
 the certificate of the SIC and MUB identities, certifies the orbit POVM.
+verify_clifford_identity reads the representatives only; the orbit itself
+is built for gen and for the tests.
 """
 
 from __future__ import annotations
@@ -212,19 +214,14 @@ def coset_povm(reps: np.ndarray) -> RankOnePovm:
     Row j is vec(C_j)/sqrt(d) with weight d^2 (d^2/|G|) = d^2/n, the weight
     of its d^2 elements vec(C_j W_k)/sqrt(d) together (outcomes_per_row d^2,
     pairs 2). Completeness is not checked here: verify_clifford_identity
-    reports its defect as a check.
+    reports its defect as a check. A representative of Frobenius norm other
+    than sqrt(d) is no unit row, and RankOnePovm's ValueError names its
+    index (`POVM vectors must be unit norm; element j ...`).
     """
     n, d = len(reps), reps.shape[-1]
     weights = np.full(n, d * d / n)
     return RankOnePovm(d * d, weights, reps.reshape(n, d * d) / np.sqrt(d), outcomes_per_row=d * d, pairs=2,
                        check_completeness=False)
-
-
-def _coset_order_dev(orbit: np.ndarray, reps: np.ndarray) -> float:
-    """Max-entry deviation of the orbit [n d^2, d, d] from the cosets {C_j W_k} of reps, chunk by chunk."""
-    size = reps.shape[-1] ** 2
-    return max(float(np.max(np.abs(orbit[rows.start * size:rows.stop * size] - weyl_cosets(reps[rows]))))
-               for rows in chunks(len(reps), size * size))
 
 
 def _moments(traces: np.ndarray) -> tuple[float, float]:
@@ -240,28 +237,27 @@ def _moments(traces: np.ndarray) -> tuple[float, float]:
 def verify_clifford_identity(d: int, reps: np.ndarray | None = None) -> VerificationReport:
     """Certify the Clifford group and the two-pair identity of its orbit POVM.
 
-    `reps` are the coset representatives C_j from clifford_representatives
-    (found when None), and the orbit {C_j W_k} is never formed. The report
-    checks the cardinality len(reps) d^2 against the pair-count formula, the
-    character moments (1, 2), whose |Tr(C W_k)| over every k are the Weyl
-    traces of C (testops.weyl_traces), and bell_certificate(coset_povm(reps),
-    d^2) with the completeness defect (1/n) sum_j C_j C_j^dag - I of its rows.
-    A whole orbit (clifford_cardinality(d) elements) is certified from its
-    every d^2-th element, and the extra check coset_order_dev compares each
-    of its elements with C_j W_k, its place in enumerate_clifford's order,
-    so an altered or reordered orbit fails. At d = 5 it takes about 4 ms.
+    `reps` are coset representatives C_j, one per Weyl coset, as
+    clifford_representatives gives them (found when None); each stands for
+    its coset {C_j W_k}, which is never formed. The report checks the
+    cardinality len(reps) d^2 against the pair-count formula, the character
+    moments (1, 2), whose |Tr(C W_k)| over every k are the Weyl traces of C
+    (testops.weyl_traces), and bell_certificate(coset_povm(reps), d^2) with
+    the completeness defect (1/n) sum_j C_j C_j^dag - I of its rows. Any
+    other stack is read as representatives too: the whole orbit
+    (enumerate_clifford) stands for d^2 times the group and fails
+    cardinality_dev alone. A representative whose Frobenius norm is not
+    sqrt(d) raises coset_povm's ValueError, which names its index; a
+    non-unitary one of norm sqrt(d) fails completeness_defect. At d = 5 it
+    takes about 4 ms.
     """
-    checks = []
     if reps is None:
         reps = clifford_representatives(d)
-    elif len(reps) == clifford_cardinality(d):
-        orbit, reps = reps, reps[::d * d]
-        checks.append(Check.from_deviation("coset_order_dev", _coset_order_dev(orbit, reps), UNITARY_TOL))
     n = len(reps) * d * d
     m = coset_povm(reps)
     c1, c2 = _moments(weyl_traces(reps, fourier_matrix(d)))
     t_dev, cov_dev, trace_dev = bell_certificate(m, d * d)
-    checks += [
+    checks = [
         Check.from_deviation("cardinality_dev", abs(n - clifford_cardinality(d)), 0),
         Check.from_deviation("completeness_defect", m.completeness_defect(), 1e-10),
         Check.from_deviation("char_moment1_dev", abs(c1 - 1), 1e-8),

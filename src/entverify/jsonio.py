@@ -7,10 +7,13 @@ Reports, transcripts and counts are written by json.dump with two-space
 indentation. A POVM document keeps that layout for its outer object, but each
 entry of its `elements` array takes one line,
 `{"weight": w, "vector": [[re, im], ...]}`, encoded from the arrays a chunk of
-rows at a time; the nested list of the whole POVM is never built. It parses
-to the same JSON value as an indented dump, with bit-identical floats, in
-about half the bytes (3.4 MB instead of 6.3 MB for the Clifford orbit at
-d = 5).
+rows at a time, in the chunks of testops.chunks (about BELL_CHUNK = 2^12
+complex entries); the nested list of the whole POVM is never built. A chunk's
+lists and strings live until it is written, so the chunk stays small: 2^16
+entries raised `gen clifford --d 5` peak RSS by 10 MB. The bytes do not
+depend on the chunking. The document parses to the same JSON value as an
+indented dump, with bit-identical floats, in about half the bytes (3.4 MB
+instead of 6.3 MB for the Clifford orbit at d = 5).
 
 dump_povm does not use json's C encoder for the elements. An orbit repeats
 few entries many times (4 098 distinct complex entries among the 75 000 of
@@ -31,11 +34,8 @@ from itertools import chain
 
 import numpy as np
 
-from .testops import RankOnePovm
+from .testops import RankOnePovm, chunks
 
-# Complex entries encoded per chunk of POVM rows. A chunk's lists and strings
-# live until it is written: 2 ** 16 raised `gen clifford --d 5` peak RSS by 10 MB.
-POVM_CHUNK = 2 ** 12
 ELEMENT_SEP = ",\n    "
 # a complex128 entry as one 16-byte key: equal keys are equal bits, so -0.0 and 0.0 differ
 _ENTRY_BITS = np.dtype((np.void, 16))
@@ -138,20 +138,19 @@ def dump_povm(m: RankOnePovm, path: str | None = None, **fields) -> None:
     """Write m as a POVM document, followed by fields, to a file or stdout.
 
     The keys are schema, kind, dim, elements, then fields in the order given.
-    Each element is one line, encoded from a chunk of at most POVM_CHUNK
-    complex entries by _entry_texts.
+    Each element is one line, encoded by _entry_texts from a chunk of rows
+    of testops.chunks.
     """
     if m.outcomes_per_row != 1:
         raise ValueError("a POVM document lists every outcome, not one row per group of outcomes")
-    rows = max(1, POVM_CHUNK // m.dim)
     with _output(path) as fh:
         fh.write('{\n  "schema": 1,\n  "kind": "povm",\n'
                  f'  "dim": {json.dumps(m.dim)},\n  "elements": [\n    ')
-        for lo in range(0, m.n_elements, rows):
-            if lo:
+        for rows in chunks(m.n_elements, m.dim):
+            if rows.start:
                 fh.write(ELEMENT_SEP)
-            weights = m.weights[lo:lo + rows].tolist()
-            vectors = _entry_texts(m.vectors[lo:lo + rows])
+            weights = m.weights[rows].tolist()
+            vectors = _entry_texts(m.vectors[rows])
             fh.write(ELEMENT_SEP.join(f'{{"weight": {float.__repr__(w)}, "vector": [{", ".join(row)}]}}'
                                       for w, row in zip(weights, vectors)))
         fh.write("\n  ]")

@@ -93,9 +93,8 @@ def _overlaps(fam: MubFamily) -> _Overlaps:
                 ranks.append(numerical_rank(centered[:, :d]))
                 overlap_sq, centered = overlap_sq[:, d:], centered[:, d:]
             if overlap_sq.size:
-                # max |x - c| as max(max x - c, c - min x): rounding x - c is monotone in x
-                cross_dev = max(cross_dev, float(overlap_sq.max()) - 1 / d, 1 / d - float(overlap_sq.min()))
-                ortho_dev = max(ortho_dev, float(centered.max()), -float(centered.min()))
+                cross_dev = max(cross_dev, float(np.max(np.abs(overlap_sq - 1 / d))))
+                ortho_dev = max(ortho_dev, float(np.max(np.abs(centered))))
     return _Overlaps(basis_dev, cross_dev, ortho_dev, ranks)
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from entverify import clifford
+from entverify import clifford, testops
 from entverify.cli import SCHEMES, build_parser, main
 from entverify.jsonio import (_entry_texts, dump_povm, pairs_to_vector,
                               povm_from_dict)
@@ -128,8 +128,17 @@ def signed_zero_povm():
 
 @pytest.mark.parametrize("scheme,d", [("sic", 2), ("sic", 4), ("mub", 5),
                                       ("clifford", 2), ("clifford", 3), ("clifford", 5),
-                                      ("signed-zeros", 2)])
-def test_gen_document_equals_reference(scheme, d, capsys):
+                                      ("signed-zeros", 2), ("clifford-small-chunks", 3)])
+def test_gen_document_equals_reference(scheme, d, capsys, monkeypatch):
+    if scheme.endswith("-small-chunks"):
+        # written 4 rows to a chunk (MIN_CHUNK_ROWS) instead of 455, the
+        # document keeps the bytes of the default chunks
+        scheme = scheme.removesuffix("-small-chunks")
+        assert main(["gen", scheme, "--d", str(d)]) == 0
+        default = capsys.readouterr().out
+        monkeypatch.setattr(testops, "BELL_CHUNK", 16)
+        assert main(["gen", scheme, "--d", str(d)]) == 0
+        assert capsys.readouterr().out == default
     if scheme == "signed-zeros":
         # the output of no scheme, written by the same encoder that gen uses
         m = signed_zero_povm()
@@ -186,10 +195,13 @@ def test_povm_from_dict_names_a_missing_key(drop, message):
     ("vector", [[1.0, 0.0]], "element 2 'vector' has length 1, not dim = 2"),
     ("vector", [[1.0, 0.0], [float("nan"), 0.0]], "element 2 'vector' has a NaN or Inf entry"),
     ("vector", [[1.0, 0.0], [10 ** 400, 0.0]], "element 2 'vector': expected a list of [re, im] number pairs"),
+    # a number out of range, refused by RankOnePovm, which names the element
+    ("weight", 1.5, "weights must lie in [0, 1]; element 2 has weight 1.5"),
+    ("vector", [[0, 0], [2, 0]], "POVM vectors must be unit norm; element 2 has norm 2.0"),
 ], ids=["elements-int", "elements-empty", "element-int", "dim-text", "dim-float", "dim-digits", "dim-bool",
         "weight-text", "weight-bool", "weight-null", "weight-inf", "weight-huge", "vector-text", "vector-bool",
         "vector-null", "vector-object", "vector-scalar-pair", "vector-short-pair", "vector-length",
-        "vector-nan", "vector-huge"])
+        "vector-nan", "vector-huge", "weight-range", "vector-norm"])
 def test_povm_from_dict_names_a_malformed_key(key, value, message):
     doc = povm_to_dict(signed_zero_povm())
     if key == "element":

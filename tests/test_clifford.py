@@ -387,26 +387,13 @@ def test_coset_povm_weights_each_representative_by_its_coset():
     assert np.array_equal(m.vectors, reps.reshape(24, 9) / np.sqrt(3))
 
 
-def test_verify_identity_checks_an_orbit_against_its_representatives():
-    # an orbit is certified from its every d^2-th element, and coset_order_dev
-    # compares every element with its place C_j W_k, so an element changed
-    # between the representatives, or the same elements in another order,
-    # fail the report
-    orbit = enumerate_clifford(3)
-    by_orbit = verify_clifford_identity(3, orbit)
-    by_reps = verify_clifford_identity(3, clifford_representatives(3))
-    assert by_orbit.overall and by_orbit.checks[0].name == "coset_order_dev"
-    assert by_orbit.checks[0].measured == 0
-    assert [c.to_dict() for c in by_orbit.checks[1:]] == [c.to_dict() for c in by_reps.checks]
-    assert by_orbit.metadata == by_reps.metadata and by_reps.metadata["elements"] == 216
-    assert "coset_order_dev" not in [c.name for c in by_reps.checks]
-    altered = orbit.copy()
-    altered[9 * 7 + 4] = altered[9 * 7 + 5]   # a repeated element inside coset 7
-    swapped = orbit.copy()
-    swapped[[9 * 7 + 4, 9 * 7 + 5]] = orbit[[9 * 7 + 5, 9 * 7 + 4]]
-    for bad in (altered, swapped, np.roll(orbit, 1, axis=0)):
-        report = verify_clifford_identity(3, bad)
-        assert not report.overall and not report.checks[0].passed
+def test_an_orbit_passed_as_representatives_fails_the_cardinality_only():
+    # each of the 216 elements stands for its coset of 9, so the orbit reads
+    # as 1944 outcomes: d^2 copies of the group, whose every other check passes
+    report = verify_clifford_identity(3, enumerate_clifford(3))
+    assert [c.name for c in report.checks if not c.passed] == ["cardinality_dev"]
+    assert report.check("cardinality_dev").measured == 1944 - 216
+    assert report.metadata["elements"] == 1944
 
 
 def test_verify_identity_d5_memory_guard():
@@ -436,14 +423,15 @@ def test_planted_representative_fails_the_covariance(rng):
 
 def test_a_non_unitary_representative_fails_the_completeness():
     # scaled by 1.001 a representative is no unit vector, which coset_povm
-    # refuses. Scaled by 1.001 on one row and shrunk on another so that it
-    # stays one, it fails completeness_defect, (1/n) sum_j C_j C_j^dag - I,
-    # by (1.001^2 - 1) / 24
+    # refuses by its index. Scaled by 1.001 on one row and shrunk on another
+    # so that it stays one, it fails completeness_defect, (1/n) sum_j C_j
+    # C_j^dag - I, by (1.001^2 - 1) / 24
     reps = clifford_representatives(3)
     scaled = reps.copy()
     scaled[5] *= 1.001
-    with pytest.raises(ValueError, match="unit norm"):
-        coset_povm(scaled)
+    for build in (coset_povm, lambda r: verify_clifford_identity(3, r)):
+        with pytest.raises(ValueError, match=r"^POVM vectors must be unit norm; element 5 has norm 1\.00"):
+            build(scaled)
     reps[5] = np.diag([1.001, np.sqrt(2 - 1.001 ** 2), 1]) @ reps[5]
     report = verify_clifford_identity(3, reps)
     defect = report.check("completeness_defect")

@@ -366,6 +366,20 @@ def test_results_do_not_depend_on_the_chunk_size(monkeypatch, case):
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("case", ("clifford3", "mub7"))
+def test_squared_weyl_overlaps_yields_arrays_a_caller_may_keep(monkeypatch, case):
+    # chunks of 4 rows (MIN_CHUNK_ROWS): 6 of the 24 coset rows, 14 of the 56
+    # MUB vectors; every chunk kept is still the overlaps of its own rows
+    m = coset_povm(clifford_representatives(3)) if case == "clifford3" else mub_povm(mub_prime(7))
+    d = m.local_dim
+    monkeypatch.setattr(testops, "BELL_CHUNK", 16)
+    parts = list(testops.squared_weyl_overlaps(m.vectors, d))
+    assert len(parts) == m.n_elements // 4
+    want = np.abs(weyl_overlaps(m.vectors, fourier_matrix(d)).reshape(m.n_elements, -1)) ** 2
+    for rows, mod2 in parts:
+        assert np.array_equal(mod2, want[rows])
+
+
 def _dense_bell(m):
     """Bell-basis matrix of realized_test(m) and its distance to the invariant test.
 
