@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 
 _MODULE_EXPORTS = {
     "clifford": ("clifford_cardinality", "clifford_generators", "clifford_povm",
-                 "enumerate_clifford", "verify_clifford_identity", "weyl"),
+                 "verify_clifford_identity", "weyl"),
     "linalg": ("FiducialSearchConfig", "FiducialSearchError", "numerical_rank"),
     "mub": ("MubFamily", "mub_check", "mub_povm", "mub_prime", "pvm_count_bound",
             "verify_mub_identity"),

@@ -4,10 +4,10 @@ Modulo phases, the Clifford group of prime d is the Weyl group times one
 coset representative per element of its symplectic quotient SL(2, Z_d).
 clifford_representatives finds the representatives by a breadth-first
 search over the quotient, keyed by the exact integer Weyl labels of
-U X U^dag and U Z U^dag that the Weyl normalizer test reads, and
-enumerate_clifford returns the products {C_j W_k} coset by coset. The Weyl
-group is normal in the Clifford group, so a representative fixes its
-coset: coset_povm has one row per coset, from which testops.bell_certificate,
+U^dag X U and U^dag Z U (coset_labels, read by testops.generator_peaks as
+the coset-row covariance reads them), and enumerate_clifford returns the
+products {C_j W_k} coset by coset. The Weyl group is normal in the Clifford
+group, so a representative fixes its coset: coset_povm has one row per coset, from which testops.bell_certificate,
 the certificate of the SIC and MUB identities, certifies the orbit POVM.
 verify_clifford_identity reads the representatives only; the orbit itself
 is built for gen and for the tests.
@@ -20,7 +20,7 @@ import numpy as np
 from .linalg import is_prime
 from .report import Check, VerificationReport
 from .testops import (RankOnePovm, bell_certificate, chunks, fourier_matrix,
-                      weyl_traces)
+                      generator_peaks, weyl_traces)
 
 UNITARY_TOL = 1e-10
 NORMALIZER_TOL = 1e-10
@@ -70,42 +70,26 @@ def clifford_cardinality(d: int) -> int:
     return cardinality_from_pair_counts(pair_product_counts(d))
 
 
-def weyl_image_labels(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Weyl labels of U X U^dag and U Z U^dag, and whether both are Weyl operators up to phase.
+def coset_labels(us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Weyl labels [n, 2] of U^dag X U and U^dag Z U for a stack [n, d, d], and whether U normalizes the Weyl group.
 
-    For a unitary [d, d] the labels have shape (2,) and the verdict is one
-    bool; for a stack [..., d, d] they have shape [..., 2] and [...]. U
-    normalizes the Weyl group when its images of X and Z are phases times
-    Weyl operators, whose products give every X^a Z^b. A unitary image V is
-    c W_m for a phase c exactly when max_k |Tr(V W_k)| = d; the peak then
-    sits at k = -m, since Tr(W_m W_k) is 0 unless m + k = 0. The returned
-    label is m = -argmax, exact integers read from the peak, so the labels
-    of a unitary that passes are those of its symplectic image. The stack is
-    walked in chunks of about BELL_CHUNK complex image entries.
+    U normalizes the Weyl group when U^dag X U and U^dag Z U are phases
+    times Weyl operators c W_m, whose products give every X^a Z^b: when both
+    peaks of testops.generator_peaks are d, read as |peak - d| <= d
+    NORMALIZER_TOL, so a multiple of a Clifford unitary fails. The labels
+    m = -k, exact integers read from the peaks, are the columns of M^-1 for a
+    unitary that passes, M its symplectic matrix. The stack is walked in
+    chunks of about BELL_CHUNK complex trace entries.
     """
-    u = np.asarray(u, dtype=complex)
-    d = u.shape[-1]
-    flat = u.reshape(-1, d, d)
-    xz = np.stack([weyl(d, 1, 0), weyl(d, 0, 1)])
+    d = us.shape[-1]
     dft = fourier_matrix(d)
-    labels = np.empty((len(flat), 2), dtype=np.int64)
-    verdicts = np.empty(len(flat), dtype=bool)
-    for rows in chunks(len(flat), 2 * d * d):
-        v = flat[rows, None]
-        images = v @ xz @ np.swapaxes(v, -1, -2).conj()
-        mod = np.abs(weyl_traces(images.reshape(-1, d, d), dft)).reshape(-1, 2, d * d)
-        a, b = np.divmod(mod.argmax(axis=-1), d)
-        labels[rows] = (-a % d) * d + (-b % d)
-        verdicts[rows] = np.all(mod.max(axis=-1) >= d * (1 - NORMALIZER_TOL), axis=-1)
-    return labels.reshape(u.shape[:-2] + (2,)), verdicts.reshape(u.shape[:-2])[()]
-
-
-def normalizes_weyl_group(u: np.ndarray) -> np.ndarray:
-    """Whether U W U^dag is a phase times a Weyl operator for every Weyl W (weyl_image_labels).
-
-    One verdict for a unitary [d, d], one per unitary for a stack [..., d, d].
-    """
-    return weyl_image_labels(u)[1]
+    labels = np.empty((len(us), 2), dtype=np.int64)
+    verdicts = np.ones(len(us), dtype=bool)
+    for rows in chunks(len(us), 2 * d * d):
+        for column, (_, a, b, peak) in enumerate(generator_peaks(us[rows], dft)):
+            labels[rows, column] = (-a % d) * d + (-b % d)
+            verdicts[rows] &= np.abs(peak - d) <= d * NORMALIZER_TOL
+    return labels, verdicts
 
 
 def clifford_generators(d: int) -> np.ndarray:
@@ -128,7 +112,7 @@ def clifford_generators(d: int) -> np.ndarray:
     gens = np.stack([x, z, f, s])
     if np.max(np.abs(gens.conj().transpose(0, 2, 1) @ gens - np.eye(d))) > UNITARY_TOL:
         raise AssertionError("a generator is not unitary")
-    if not np.all(normalizes_weyl_group(gens)):
+    if not np.all(coset_labels(gens)[1]):
         raise AssertionError("a generator fails the Weyl normalizer test")
     return gens
 
@@ -140,11 +124,11 @@ def clifford_representatives(d: int) -> np.ndarray:
     C_j per element of its symplectic quotient SL(2, Z_d), which F and S
     generate. A breadth-first search from the identity multiplies each new
     representative by F and S and keeps a product when the integer labels of
-    its images of X and Z (weyl_image_labels) are new; those labels are the
-    columns of its symplectic matrix, so they name its coset exactly, and
-    every representative passes the Weyl normalizer test on the way. Raises
-    unless the representatives times the d^2 Weyl operators give the order
-    of the pair-count formula.
+    U^dag X U and U^dag Z U (coset_labels) are new; those labels are the
+    columns of the inverse M^-1 of its symplectic matrix M, so they name its
+    coset exactly, and every representative passes the Weyl normalizer test
+    on the way. Raises unless the representatives times the d^2 Weyl
+    operators give the order of the pair-count formula.
     """
     if not is_prime(d):
         raise ValueError(f"enumeration is supported for prime d only, got {d}")
@@ -154,7 +138,7 @@ def clifford_representatives(d: int) -> np.ndarray:
     gens = clifford_generators(d)[2:]   # F and S; X and Z lie in every coset
 
     def coset_keys(us: np.ndarray) -> list[int]:
-        labels, verdicts = weyl_image_labels(us)
+        labels, verdicts = coset_labels(us)
         if not np.all(verdicts):
             raise RuntimeError("a product of Clifford generators fails the Weyl normalizer test")
         return (labels[:, 0] * d * d + labels[:, 1]).tolist()

@@ -12,8 +12,9 @@ dimension d^2 or d^4, is never formed.
 
 The package has one Weyl transform for operators on any number of factors
 of C^d: a gather of shifted diagonals and one Fourier product. weyl_traces
-feeds it the diagonals of operators, as the Clifford normalizer test does
-with U X U^dag and U Z U^dag; weyl_overlaps feeds it those of the
+feeds it the diagonals of operators, as generator_peaks does with U^dag X U
+and U^dag Z U for the Clifford coset labels and the coset-row covariance;
+weyl_overlaps feeds it those of the
 projectors |u><u|, read from the vectors, for the overlaps <u|V|u> of the
 certificates, the simulator and the fiducial search. The loops over a
 POVM's elements walk it in chunks of about BELL_CHUNK complex entries
@@ -344,7 +345,7 @@ def weyl_covariance(m: RankOnePovm, block: int) -> tuple[float, float]:
 
 def _block_terms(vectors: np.ndarray, p: np.ndarray, block: int, d: int) -> tuple[float, np.ndarray]:
     """weyl_covariance's deviation and sums delta_g over whole blocks; d^f entries per vector for f factors."""
-    clock = np.exp(2j * np.pi * np.arange(d) / d)
+    clock = fourier_matrix(d)[1]
     flat = vectors.reshape(-1, block, vectors.shape[1])
     u = flat.reshape(flat.shape[:2] + (d,) * _factor_count(vectors.shape[1], d))   # one axis per factor
     norm = np.sqrt(squared_norms(vectors))
@@ -371,13 +372,27 @@ def _block_terms(vectors: np.ndarray, p: np.ndarray, block: int, d: int) -> tupl
     return dev, np.array(sums)
 
 
+def generator_peaks(u: np.ndarray, dft: np.ndarray):
+    """Yield (g U, a, b, peak) for the shift g = X, then the clock g = Z, over a stack [n, d, d] of matrices U.
+
+    (a, b) is the label k of the largest |Tr(U^dag g U W_k)| (weyl_traces,
+    given dft = fourier_matrix(d)) and peak that modulus, one per U. If
+    U^dag g U = c W_m with |c| = 1, the peak is d and sits at k = -m, since
+    Tr(W_m W_k) is 0 unless m + k = 0.
+    """
+    d = len(dft)
+    for gu in (np.roll(u, 1, axis=1), u * dft[1][:, None]):
+        mod = np.abs(weyl_traces(u.conj().transpose(0, 2, 1) @ gu, dft)).reshape(len(u), -1)
+        k = np.argmax(mod, axis=1)
+        a, b = np.divmod(k, d)
+        yield gu, a, b, mod[np.arange(len(u)), k]
+
+
 def _orbit_row_terms(vectors: np.ndarray, p: np.ndarray, block: int, d: int) -> tuple[float, np.ndarray]:
     """_block_terms of rows of d^2 outcomes: eps_row for X x I and Z x I, 0 for I x X and I x Z."""
     dft, u = fourier_matrix(d), vectors.reshape(-1, d, d)
     norm, dev, sums = np.sqrt(squared_norms(vectors)), 0.0, []
-    for gu in (np.roll(u, 1, axis=1), u * dft[1][:, None]):      # (X x I) u and (Z x I) u
-        traces = weyl_traces(u.conj().transpose(0, 2, 1) @ gu, dft).reshape(len(u), -1)
-        a, b = np.divmod(np.argmax(np.abs(traces), axis=1), d)  # Tr(U^dag g U W_k) peaks at k = -m
+    for gu, a, b, _ in generator_peaks(u, dft):                 # (X x I) u and (Z x I) u, peak at k = -m
         # U W_m = U X^a' Z^b' with m = (a', b') = (-a, -b): [r, j] = U[r, j + a'] w^(b' j)
         cols = (np.arange(d) - a[:, None]) % d
         uw = np.take_along_axis(u, cols[:, None, :], axis=2) * dft[-b % d][:, None, :]

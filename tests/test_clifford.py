@@ -11,10 +11,10 @@ from conftest import (all_weyl, canonicalize_phase, character_moments,
 from entverify import clifford, testops
 from entverify.clifford import (NORMALIZER_TOL, clifford_cardinality,
                                 clifford_generators, clifford_povm,
-                                clifford_representatives, coset_povm,
-                                enumerate_clifford, normalizes_weyl_group,
+                                clifford_representatives, coset_labels,
+                                coset_povm, enumerate_clifford,
                                 pair_product_counts, verify_clifford_identity,
-                                weyl, weyl_cosets, weyl_image_labels)
+                                weyl, weyl_cosets)
 from entverify.linalg import is_prime
 from entverify.testops import (RankOnePovm, bell_certificate, bell_spectrum,
                                chunks, fourier_matrix, weyl_covariance,
@@ -110,13 +110,12 @@ def test_generators_d2():
 
 @pytest.mark.parametrize("d", (2, 3, 5))
 def test_generators_normalize_weyl(d):
-    for g in clifford_generators(d):
-        assert normalizes_weyl_group(g)
+    assert coset_labels(clifford_generators(d))[1].tolist() == [True] * 4
 
 
 def test_non_clifford_fails_normalizer_test():
     t_gate = np.diag([1, np.exp(1j * np.pi / 4)])
-    assert not normalizes_weyl_group(t_gate)
+    assert coset_labels(t_gate[None])[1].tolist() == [False]
 
 
 def test_generators_rejects_composite():
@@ -175,12 +174,12 @@ def test_enumeration_matches_per_product_reference(d):
 @pytest.mark.parametrize("d", (2, 3, 5))
 def test_enumeration_is_coset_major(d):
     # element j d^2 + k is C_j W_k: each run of d^2 elements shares the labels
-    # of its images of X and Z (one symplectic matrix), and no two runs do
+    # of U^dag X U and U^dag Z U (one symplectic matrix), and no two runs do
     group = enumerate_clifford(d)
     reps = group[::d * d]
     assert len(reps) == d * (d * d - 1)
     assert np.max(np.abs(group.reshape(len(reps), d * d, d, d) - reps[:, None] @ all_weyl(d))) <= 1e-15
-    labels, verdicts = weyl_image_labels(group)
+    labels, verdicts = coset_labels(group)
     assert np.all(verdicts)
     runs = labels.reshape(len(reps), d * d, 2)
     assert np.all(runs == runs[:, :1])
@@ -189,18 +188,28 @@ def test_enumeration_is_coset_major(d):
 
 @pytest.mark.parametrize("d", (2, 3, 5))
 def test_weyl_image_labels_match_dense_reference(rng, d):
-    # label m of U W U^dag = c W_m, read densely as the W_m with |Tr(W_m^dag V)| = d
+    # label m of U^dag W U = c W_m, read densely as the W_m with |Tr(W_m^dag V)| = d
     us, expected = normalizer_cases(rng, d)
     w = all_weyl(d)
     xz = np.stack([weyl(d, 1, 0), weyl(d, 0, 1)])
-    images = us[:, None] @ xz[None] @ us.conj().transpose(0, 2, 1)[:, None]
+    images = us.conj().transpose(0, 2, 1)[:, None] @ xz[None] @ us[:, None]
     dense = np.abs(np.einsum("nkij,lij->nkl", images, w.conj())).argmax(axis=2)
-    labels, verdicts = weyl_image_labels(us)
+    labels, verdicts = coset_labels(us)
     assert np.array_equal(verdicts, expected)
     assert np.array_equal(labels[expected], dense[expected])
-    assert weyl_image_labels(np.eye(d))[0].tolist() == [d, 1]   # X and Z themselves
+    assert coset_labels(np.eye(d)[None])[0].tolist() == [[d, 1]]   # X and Z themselves
     f = clifford_generators(d)[2]
-    assert weyl_image_labels(f)[0].tolist() == [1, (d - 1) * d]   # F X F^dag = Z, F Z F^dag = X^-1
+    assert coset_labels(f[None])[0].tolist() == [[d - 1, d]]   # F^dag X F = Z^-1, F^dag Z F = X
+
+
+@pytest.mark.parametrize("d", (2, 3, 5))
+def test_coset_labels_are_the_columns_of_an_sl2_matrix(d):
+    # the labels (a, b) of U^dag X U and U^dag Z U, as the columns of M^-1,
+    # give a matrix of determinant 1 mod d, one per representative
+    labels = coset_labels(clifford_representatives(d))[0]
+    a, b = np.divmod(labels, d)                           # [n, 2]: column 0 from X, column 1 from Z
+    assert np.all((a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]) % d == 1)
+    assert len({tuple(x) for x in labels}) == len(labels) == d * (d * d - 1)
 
 
 def test_enumeration_raises_when_the_generators_miss_cosets(monkeypatch):
@@ -484,15 +493,15 @@ def test_covariance_bound_does_not_depend_on_the_chunks(monkeypatch, rng):
 
 
 def dense_normalizes(us):
-    """All-label reference: max_l |Tr(W_l^dag U W_k U^dag)| / d >= 1 - tol for every label k."""
+    """All-label reference: |max_l |Tr(W_l^dag U W_k U^dag)| / d - 1| <= tol for every label k."""
     w = all_weyl(us.shape[-1])
     conj = us[:, None] @ w[None] @ us.conj().transpose(0, 2, 1)[:, None]
     coeffs = np.abs(np.einsum("nkij,lij->nkl", conj, w.conj())) / us.shape[-1]
-    return np.all(coeffs.max(axis=2) >= 1 - NORMALIZER_TOL, axis=1)
+    return np.all(np.abs(coeffs.max(axis=2) - 1) <= NORMALIZER_TOL, axis=1)
 
 
 def normalizer_cases(rng, d):
-    """(unitaries, expected verdicts): Clifford elements and non-Clifford unitaries."""
+    """(matrices, expected verdicts): Clifford elements, non-Clifford unitaries and scaled Clifford elements."""
     elements = enumerate_clifford(d)
     f = np.exp(2j * np.pi * np.outer(np.arange(d), np.arange(d)) / d) / np.sqrt(d)
     diagonal = np.diag(np.exp(2j * np.pi * rng.uniform(size=d)))    # commutes with Z
@@ -501,9 +510,10 @@ def normalizer_cases(rng, d):
     vals, vecs = np.linalg.eigh(random_hermitian(rng, d))
     nudged = [u @ (vecs * np.exp(1j * eps * vals)) @ vecs.conj().T for eps in (1e-6, 1e-3)]
     others = [random_unitary(rng, d), random_unitary(rng, d), diagonal, circulant] + nudged
+    others += [2 * u, (1 + 1e-7) * u]                                 # no phase times a Clifford unitary
     if d == 2:
         others.append(np.diag([1, np.exp(1j * np.pi / 4)]))         # the T gate
-    expected = [True] * len(elements) + [False] * 4 + [True, False] + [False] * (d == 2)
+    expected = [True] * len(elements) + [False] * 4 + [True, False] + [False] * 2 + [False] * (d == 2)
     return np.concatenate([elements, np.stack(others)]), np.array(expected)
 
 
@@ -511,8 +521,7 @@ def normalizer_cases(rng, d):
 def test_normalizer_matches_all_label_reference(rng, d):
     us, expected = normalizer_cases(rng, d)
     assert np.array_equal(dense_normalizes(us), expected)
-    assert np.array_equal(normalizes_weyl_group(us), expected)
-    assert normalizes_weyl_group(us.reshape(-1, 1, d, d)).shape == (len(us), 1)
+    assert np.array_equal(coset_labels(us)[1], expected)
 
 
 @pytest.mark.parametrize("d", (2, 3))
@@ -526,12 +535,9 @@ def test_normalizer_chunk_boundaries(rng, d):
     us = elements[np.arange(n) % len(elements)]
     planted = [2 * step, n - 1]
     us[planted] = [random_unitary(rng, d), random_unitary(rng, d)]
-    verdicts = normalizes_weyl_group(us)
+    verdicts = coset_labels(us)[1]
     assert verdicts.shape == (n,)
     assert np.flatnonzero(~verdicts).tolist() == planted
-    assert np.array_equal(normalizes_weyl_group(us[:12].reshape(3, 4, d, d)), verdicts[:12].reshape(3, 4))
-    single = normalizes_weyl_group(us[0])
-    assert np.ndim(single) == 0 and isinstance(single, np.bool_) and single
 
 
 def test_is_prime():
