@@ -7,10 +7,10 @@ search over the quotient, keyed by the exact integer Weyl labels of
 U^dag X U and U^dag Z U (coset_labels, read by testops.generator_peaks as
 the coset-row covariance reads them), and enumerate_clifford returns the
 products {C_j W_k} coset by coset. The Weyl group is normal in the Clifford
-group, so a representative fixes its coset: coset_povm has one row per coset, from which testops.bell_certificate,
-the certificate of the SIC and MUB identities, certifies the orbit POVM.
-verify_clifford_identity reads the representatives only; the orbit itself
-is built for gen and for the tests.
+group, so a representative fixes its coset: coset_povm has one row per
+coset, from which testops.bell_certificate, the certificate of the SIC and
+MUB identities, certifies the orbit POVM. verify_clifford_identity reads the
+representatives only; the orbit itself is built for gen and for the tests.
 """
 
 from __future__ import annotations

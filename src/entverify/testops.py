@@ -14,15 +14,15 @@ The package has one Weyl transform for operators on any number of factors
 of C^d: a gather of shifted diagonals and one Fourier product. weyl_traces
 feeds it the diagonals of operators, as generator_peaks does with U^dag X U
 and U^dag Z U for the Clifford coset labels and the coset-row covariance;
-weyl_overlaps feeds it those of the
-projectors |u><u|, read from the vectors, for the overlaps <u|V|u> of the
-certificates, the simulator and the fiducial search. The loops over a
-POVM's elements walk it in chunks of about BELL_CHUNK complex entries
-(64 KB) and at least MIN_CHUNK_ROWS rows, so their working set stays small
-next to the POVM itself; each chunk gets arrays of its own, and jsonio writes
-a POVM document in the same chunks. A row may stand for the d^2 outcomes of
-its Weyl orbit (RankOnePovm.outcomes_per_row), as a Clifford coset
-representative for its coset, and every quantity here is read from such rows.
+weyl_overlaps feeds it those of the projectors |u><u|, read from the
+vectors, for the overlaps <u|V|u> of the certificates, the simulator and
+the fiducial search. The loops over a POVM's elements walk it in chunks
+of about BELL_CHUNK complex entries (64 KB) and at least MIN_CHUNK_ROWS
+rows, so their working set stays small next to the POVM itself; each chunk
+gets arrays of its own, and jsonio writes a POVM document in the same
+chunks. A row may stand for the d^2 outcomes of its Weyl orbit
+(RankOnePovm.outcomes_per_row), as a Clifford coset representative for its
+coset, and every quantity here is read from such rows.
 
 Weyl labels, used throughout the package: k = a*d + b names W_k = X^a Z^b,
 with the shift X|j> = |j+1> and the clock Z|j> = w^j |j>, w = exp(2 pi i / d).
@@ -383,9 +383,8 @@ def generator_peaks(u: np.ndarray, dft: np.ndarray):
     d = len(dft)
     for gu in (np.roll(u, 1, axis=1), u * dft[1][:, None]):
         mod = np.abs(weyl_traces(u.conj().transpose(0, 2, 1) @ gu, dft)).reshape(len(u), -1)
-        k = np.argmax(mod, axis=1)
-        a, b = np.divmod(k, d)
-        yield gu, a, b, mod[np.arange(len(u)), k]
+        a, b = np.divmod(np.argmax(mod, axis=1), d)
+        yield gu, a, b, mod.max(axis=1)
 
 
 def _orbit_row_terms(vectors: np.ndarray, p: np.ndarray, block: int, d: int) -> tuple[float, np.ndarray]:
