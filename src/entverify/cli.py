@@ -18,10 +18,12 @@ with --enumerate, and never at any other d (enumerated is then null).
 verify and simulate read the Clifford orbit from its coset representatives;
 only gen forms the whole orbit.
 
-A command imports only its own scheme's module: SCHEMES makes a scheme's
-record, importing entverify.<scheme>, on its first lookup, and protocol is
-imported by simulate alone. The search options are checked, and a failed
-search caught, through linalg, so mub and clifford never import sic.
+A command imports only its own scheme's module: SCHEMES maps each name to
+a factory of its record, and scheme_record(name) imports entverify.<name>
+and makes the record on its first call (functools.cache keeps it); protocol
+is imported by simulate alone. The search options are checked once, into the
+FiducialSearchConfig that every build takes, and a failed search is caught,
+through linalg, so mub and clifford never import sic.
 
 `python -m entverify.cli` and the `entverify` script run console_main: it
 calls main(), then gc.freeze(), then exits with main's code. Freezing moves
@@ -34,12 +36,13 @@ collector alone, because it is also called in process.
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import importlib
 import math
 import sys
 import time
-from collections.abc import Callable, Mapping
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from . import __version__
@@ -60,7 +63,7 @@ class Scheme:
 
     max_d: int
     prime: bool
-    build: Callable    # (d, args) -> fiducial, MUB family or Clifford coset representatives
+    build: Callable    # (d, FiducialSearchConfig) -> fiducial, MUBs or Clifford coset reps
     povm: Callable     # built data -> RankOnePovm of every outcome, which gen writes
     certify: Callable  # (d, built data) -> VerificationReport
     sampled: Callable | None = None   # built data -> the RankOnePovm simulate reads, if not povm
@@ -70,55 +73,36 @@ class Scheme:
         return 2 <= d <= self.max_d and (not self.prime or is_prime(d))
 
 
-class _Schemes(Mapping):
-    """Scheme name -> Scheme, made from its module entverify.<name> on first lookup."""
-
-    def __init__(self, **records: Callable):
-        self._records = records   # name -> (the scheme's module -> its Scheme)
-        self._made = {}
-
-    def __getitem__(self, name: str) -> Scheme:
-        if name not in self._made:
-            make = self._records[name]   # a KeyError before any import for an unknown name
-            self._made[name] = make(importlib.import_module(f"{__package__}.{name}"))
-        return self._made[name]
-
-    def __iter__(self):
-        return iter(self._records)
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-
-def _search_config(args) -> FiducialSearchConfig:
-    try:
-        return FiducialSearchConfig(args.seed, args.restarts, args.search_tol)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
-SCHEMES = _Schemes(
-    sic=lambda sic: Scheme(
-        12, False, lambda d, args: sic.get_fiducial(d, _search_config(args)),
-        sic.weyl_orbit, sic.verify_sic_identity,
+SCHEMES = {   # scheme name -> (its module entverify.<name> -> its Scheme); the parsers' choices
+    "sic": lambda sic: Scheme(
+        12, False, sic.get_fiducial, sic.weyl_orbit, sic.verify_sic_identity,
         gen_fields=lambda f: {"fiducial_residual": f.residual}),
-    mub=lambda mub: Scheme(
-        64, True, lambda d, args: mub.mub_prime(d), mub.mub_povm, mub.verify_mub_identity),
-    clifford=lambda clifford: Scheme(
-        5, True, lambda d, args: clifford.clifford_representatives(d),
+    "mub": lambda mub: Scheme(
+        64, True, lambda d, config: mub.mub_prime(d), mub.mub_povm, mub.verify_mub_identity),
+    "clifford": lambda clifford: Scheme(
+        5, True, lambda d, config: clifford.clifford_representatives(d),
         lambda reps: clifford.clifford_povm(clifford.weyl_cosets(reps)),
         clifford.verify_clifford_identity, sampled=clifford.coset_povm),
-)
+}
 
 
-def _scheme(args) -> Scheme:
-    """The record of args.scheme; a bad d or search option is a usage error, for every scheme."""
-    _search_config(args)
-    scheme = SCHEMES[args.scheme]
+@functools.cache
+def scheme_record(name: str) -> Scheme:
+    """The Scheme of name, made from its module entverify.<name> on the first call."""
+    return SCHEMES[name](importlib.import_module(f"{__package__}.{name}"))
+
+
+def _scheme(args) -> tuple[Scheme, FiducialSearchConfig]:
+    """The record of args.scheme and the search options; a bad d or option is a usage error."""
+    try:
+        config = FiducialSearchConfig(args.seed, args.restarts, args.search_tol)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    scheme = scheme_record(args.scheme)
     if not scheme.supports(args.d):
         limit = f"{'prime d' if scheme.prime else '2 <= d'} <= {scheme.max_d}"
         raise UsageError(f"{args.scheme} supports {limit}, got d={args.d}")
-    return scheme
+    return scheme, config
 
 
 def _print_report(report: VerificationReport) -> None:
@@ -131,24 +115,24 @@ def _print_report(report: VerificationReport) -> None:
 
 
 def cmd_gen(args) -> int:
-    scheme = _scheme(args)
-    data = scheme.build(args.d, args)
+    scheme, config = _scheme(args)
+    data = scheme.build(args.d, config)
     dump_povm(scheme.povm(data), args.out, scheme=args.scheme, d=args.d, **scheme.gen_fields(data))
     return 0
 
 
 def cmd_verify(args) -> int:
-    scheme = _scheme(args)
+    scheme, config = _scheme(args)
     if args.tol is not None and not 0 <= args.tol < math.inf:
         raise UsageError(f"tol must be non-negative and finite, got {args.tol}")
-    report = scheme.certify(args.d, scheme.build(args.d, args))
+    report = scheme.certify(args.d, scheme.build(args.d, config))
     if args.tol is not None:
         # exact integer checks keep tolerance 0; every other check takes --tol
         report.checks = [Check.from_deviation(c.name, c.measured, args.tol)
                          if c.tolerance > 0 else c for c in report.checks]
     report.metadata.update(seed=args.seed, version=__version__,
                            created=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()))
-    if args.json or args.out:
+    if args.json or args.out is not None:
         dump_json(report.to_dict(), args.out)
     else:
         _print_report(report)
@@ -163,13 +147,13 @@ def cmd_simulate(args) -> int:
         raise UsageError(f"fidelity must lie in [0, 1], got {args.fidelity}")
     if not 1 <= args.shots <= protocol.MAX_SHOTS:
         raise UsageError(f"shots must lie in [1, {protocol.MAX_SHOTS}], got {args.shots}")
-    scheme = _scheme(args)
-    povm = (scheme.sampled or scheme.povm)(scheme.build(d, args))
+    scheme, config = _scheme(args)
+    povm = (scheme.sampled or scheme.povm)(scheme.build(d, config))
     make_state = protocol.isotropic_state if povm.pairs == 1 else protocol.double_isotropic_state
     transcript = protocol.run_protocol(povm, make_state(d, args.fidelity), args.shots, args.seed)
     doc = {"schema": 1, "scheme": args.scheme, "d": d, "fidelity": args.fidelity}
     doc.update(transcript.to_dict())
-    if args.json or args.out:
+    if args.json or args.out is not None:
         dump_json(doc, args.out)
     else:
         print(f"scheme={args.scheme} d={d} fidelity={args.fidelity} shots={args.shots} seed={args.seed}")
@@ -187,17 +171,18 @@ def cmd_count(args) -> int:
     if not 2 <= d <= COUNT_MAX_D:
         raise UsageError(f"count supports 2 <= d <= {COUNT_MAX_D}, got {d}")
     nu = clifford.pair_product_counts(d)
+    formula_value = clifford.cardinality_from_pair_counts(nu)   # d^3 (d^2 - 1) at prime d, or raises
     doc = {
         "schema": 1,
         "d": d,
         "nu_values": nu.tolist(),
-        "formula_value": clifford.cardinality_from_pair_counts(nu),
-        "prime_formula_value": d ** 3 * (d * d - 1) if is_prime(d) else None,
+        "formula_value": formula_value,
+        "prime_formula_value": formula_value if is_prime(d) else None,
         "enumerated": None,
     }
-    if (args.enumerate or d in (2, 3)) and SCHEMES["clifford"].supports(d):
+    if (args.enumerate or d in (2, 3)) and scheme_record("clifford").supports(d):
         doc["enumerated"] = len(clifford.clifford_representatives(d)) * d * d
-    if args.json or args.out:
+    if args.json or args.out is not None:
         dump_json(doc, args.out)
     else:
         for key, val in doc.items():

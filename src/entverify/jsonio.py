@@ -118,8 +118,11 @@ def _entry_texts(block: np.ndarray) -> list[list[str]]:
 
 @contextlib.contextmanager
 def _output(path: str | None):
-    """A text stream on the file at path (its directory made if needed), else stdout."""
-    if path:
+    """A text stream on the file at path (its directory made if needed), else stdout.
+
+    Only None means stdout: an empty path fails to open, as any bad path does.
+    """
+    if path is not None:
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         with open(path, "w") as fh:
             yield fh

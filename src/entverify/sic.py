@@ -66,12 +66,11 @@ def _shifted_back(d: int) -> np.ndarray:
 def weyl_orbit(f: Fiducial) -> RankOnePovm:
     """POVM {(1/d) W(i,j)|f><f|W(i,j)^dag} over all d^2 Weyl labels.
 
-    Complete for any unit fiducial (verified by the POVM constructor);
-    the SIC overlap condition is certified separately by sic_check.
+    Complete for any unit fiducial (verified by the POVM constructor, whose
+    norm check refuses a fiducial of another norm at element 0); the SIC
+    overlap condition is certified separately by sic_check.
     """
     d, v = f.d, f.vector
-    if abs(np.linalg.norm(v) - 1) > 1e-10:
-        raise ValueError("fiducial vector must be unit norm")
     back = _shifted_back(d)
     vecs = fourier_matrix(d)[:, back] * v[back]                # [b, a, m]
     return RankOnePovm(d, np.full(d * d, 1 / d), vecs.transpose(1, 0, 2).reshape(d * d, d))

@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 from entverify import clifford, testops
-from entverify.cli import SCHEMES, build_parser, main
+from entverify.cli import SCHEMES, build_parser, main, scheme_record
 from entverify.jsonio import (_entry_texts, dump_povm, pairs_to_vector,
                               povm_from_dict)
+from entverify.linalg import FiducialSearchConfig
 from entverify.mub import mub_povm, mub_prime
 from entverify.sic import Fiducial, known_fiducial, weyl_orbit
 from entverify.testops import RankOnePovm, bell_certificate
@@ -148,8 +149,8 @@ def test_gen_document_equals_reference(scheme, d, capsys, monkeypatch):
         doc = json.loads(capsys.readouterr().out)
     else:
         argv = ["gen", scheme, "--d", str(d)]
-        data = SCHEMES[scheme].build(d, build_parser().parse_args(argv))
-        ref = povm_to_dict(SCHEMES[scheme].povm(data), scheme, d)
+        data = scheme_record(scheme).build(d, FiducialSearchConfig())
+        ref = povm_to_dict(scheme_record(scheme).povm(data), scheme, d)
         if isinstance(data, Fiducial):
             ref["fiducial_residual"] = data.residual
         assert ("fiducial_residual" in ref) == (scheme == "sic")
@@ -221,7 +222,7 @@ def test_gen_documents_parse_to_their_povm(scheme, d, capsys):
     code, doc = run_json(capsys, argv)
     assert code == 0
     m = povm_from_dict(doc)
-    want = SCHEMES[scheme].povm(SCHEMES[scheme].build(d, build_parser().parse_args(argv)))
+    want = scheme_record(scheme).povm(scheme_record(scheme).build(d, FiducialSearchConfig()))
     assert m.pairs == 1 and m.dim == want.dim
     assert np.array_equal(m.vectors, want.vectors) and np.array_equal(m.weights, want.weights)
 
@@ -499,6 +500,25 @@ def test_simulate_shots_above_int64_is_usage_error(capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "mub", "--d", "2"],
+    ["verify", "mub", "--d", "2"],
+    ["simulate", "--scheme", "mub", "--d", "2", "--fidelity", "0.9", "--shots", "100"],
+    ["count", "--d", "2"],
+])
+def test_empty_out_path_is_io_error(argv, tmp_path, monkeypatch, capsys):
+    # an empty --out names no file: it fails to open, and is never read as "no --out"
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    code = main(argv + ["--out", ""])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err == "error: [Errno 2] No such file or directory: ''\n"
+    assert not any(work.iterdir())
 
 
 def test_unwritable_out_path_is_io_error(tmp_path, capsys):

@@ -187,7 +187,7 @@ def test_enumeration_is_coset_major(d):
 
 
 @pytest.mark.parametrize("d", (2, 3, 5))
-def test_weyl_image_labels_match_dense_reference(rng, d):
+def test_coset_labels_match_dense_reference(rng, d):
     # label m of U^dag W U = c W_m, read densely as the W_m with |Tr(W_m^dag V)| = d
     us, expected = normalizer_cases(rng, d)
     w = all_weyl(d)

@@ -55,6 +55,13 @@ def test_orbit_of_basis_vector_complete_but_not_sic():
     assert cert.check("overlap_dev").measured > 0.3
 
 
+def test_orbit_of_non_unit_fiducial_is_refused_at_element_0():
+    # the POVM constructor's norm check is the only one: element 0 is W(0, 0) v = v
+    f = Fiducial(2, np.array([1.5, 0], dtype=complex), residual=0.0)
+    with pytest.raises(ValueError, match=r"^POVM vectors must be unit norm; element 0 has norm 1\.5$"):
+        weyl_orbit(f)
+
+
 def test_orbit_vectors_pairwise_nonparallel():
     m = weyl_orbit(known_fiducial(3))
     gram = np.abs(m.vectors.conj() @ m.vectors.T)
